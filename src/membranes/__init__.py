@@ -10,9 +10,9 @@ or by spending a budget.
 """
 
 from .core import (
-    Act, Agent, Go, Membrane, NIL, Nil, Par, Policy, PolicyRegime, Repl,
-    Site, System, TrustLevel, coherent, format_agent, normalize, par,
-    threads, validate_system,
+    Act, Agent, Go, Judgment, Membrane, NIL, Nil, Par, Policy, PolicyRegime,
+    Repl, Site, System, TrustLevel, coherent, normalize, par, threads,
+    validate_system,
 )
 from .diagnostics import Diagnostic, Severity, SourceSpan
 from .policy_set import SetPolicy, enforces_set, typecheck_set, wellformed_set
@@ -28,7 +28,7 @@ from .policy_dfa import (
 )
 from .runtime import (
     Admission, Event, Finding, LocalAction, MembraneKind, Migration, Mode,
-    Report, agent_traces, allows, lts_step, run, step, verify_safety,
+    Report, agent_traces, allows, judge, lts_step, run, step, verify_safety,
     verify_subject_reduction, wellformed,
 )
 from .syntax import (

@@ -13,18 +13,21 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 from pathlib import Path
 
 from .core import PolicyRegime, coherent
 from .policy_dfa import DEFAULT_BOUND
 from .policy_multiset import infer_policy
 from .runtime import (
-    MembraneKind, Mode, run as run_system, verify_safety,
-    verify_subject_reduction, wellformed, explain_wellformed,
+    MembraneKind, Mode, judge, run as run_system, verify_safety,
+    verify_subject_reduction,
 )
 from .syntax import parse_agent, parse_dfa_bundle, parse_system, parse_theta, render
 
 OK, ILL_FORMED, INPUT_ERROR, INCONCLUSIVE = 0, 1, 2, 3
+# How `check` prints a well-formedness verdict, and its exit code.
+_VERDICTS = {True: ("yes", OK), False: ("no", ILL_FORMED), None: ("unknown", INCONCLUSIVE)}
 
 
 class InputError(Exception):
@@ -35,37 +38,25 @@ def _fail(messages) -> "InputError":
     return InputError("\n".join(str(m) for m in messages))
 
 
-def _load_bundle(path: str | None):
+def _load(path: str | None, parse):
+    """Parse the file at `path` (None when no path was given); a parser's
+    diagnostics become an InputError."""
     if path is None:
         return None
-    text = Path(path).read_text(encoding="utf-8")
-    bundle = parse_dfa_bundle(text, filename=path)
-    if isinstance(bundle, list):
-        raise _fail(bundle)
-    return bundle
-
-
-def _load_theta(path: str | None):
-    if path is None:
-        return None
-    text = Path(path).read_text(encoding="utf-8")
-    theta = parse_theta(text, filename=path)
-    if isinstance(theta, list):
-        raise _fail(theta)
-    return theta
+    parsed = parse(Path(path).read_text(encoding="utf-8"), filename=path)
+    if isinstance(parsed, list):
+        raise _fail(parsed)
+    return parsed
 
 
 def _load_system(args) -> tuple:
     regime = PolicyRegime(args.regime)
     if regime == PolicyRegime.DFA and args.dfa is None:
         raise InputError("the dfa regime needs --dfa BUNDLE")
-    bundle = _load_bundle(args.dfa)
-    text = Path(args.system).read_text(encoding="utf-8")
-    system = parse_system(text, regime, dfas=bundle, filename=args.system)
-    if isinstance(system, list):
-        raise _fail(system)
+    bundle = _load(args.dfa, parse_dfa_bundle)
+    system = _load(args.system, partial(parse_system, regime=regime, dfas=bundle))
     mode = Mode.of(args.regime, args.membrane, args.bound)
-    theta = _load_theta(args.theta)
+    theta = _load(args.theta, parse_theta)
     if mode.kind == MembraneKind.RESIDENT_DYNAMIC and theta is None:
         raise InputError("dynamic membranes need --theta RECORD")
     return system, mode, theta
@@ -78,17 +69,11 @@ def cmd_check(args) -> int:
     if not is_coherent:
         print("well-formed: not checked (well-formedness assumes coherence)")
         return ILL_FORMED
-    verdict = wellformed(system, mode, theta)
-    notes = explain_wellformed(system, mode, theta)
-    if verdict is None:
-        print("well-formed: unknown")
-    else:
-        print(f"well-formed: {'yes' if verdict else 'no'}")
-    for note in notes:
+    judgment = judge(system, mode, theta)
+    print(f"well-formed: {_VERDICTS[judgment.verdict][0]}")
+    for note in judgment.notes:
         print(f"  {note}")
-    if verdict is None:
-        return INCONCLUSIVE
-    return OK if verdict else ILL_FORMED
+    return _VERDICTS[judgment.verdict][1]
 
 
 def cmd_run(args) -> int:
@@ -133,6 +118,17 @@ def _indent(text: str) -> str:
     return "\n".join("  " + line for line in text.splitlines())
 
 
+def _count(text: str) -> int:
+    """argparse type for bounds, steps and depths: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got '{text}'")
+    return value
+
+
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="membranes",
@@ -146,7 +142,7 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--membrane", choices=["entry", "static", "dynamic"], default="entry")
         p.add_argument("--dfa", help="DFA bundle file (.dfa), required under the dfa regime")
         p.add_argument("--theta", help="resident record file (.theta) for dynamic membranes")
-        p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+        p.add_argument("--bound", type=_count, default=DEFAULT_BOUND,
                        help="DFA search bound in explored pairs")
         p.add_argument("--format", choices=["text", "report"], default="text")
 
@@ -156,13 +152,13 @@ def _parser() -> argparse.ArgumentParser:
 
     runp = sub.add_parser("run", help="reduce the system with a seeded scheduler")
     common(runp)
-    runp.add_argument("--steps", type=int, default=100, help="maximum reduction steps")
+    runp.add_argument("--steps", type=_count, default=100, help="maximum reduction steps")
     runp.add_argument("--seed", type=int, default=0, help="scheduler seed")
     runp.set_defaults(func=cmd_run)
 
     verify = sub.add_parser("verify", help="subject reduction and safety, bounded")
     common(verify)
-    verify.add_argument("--depth", type=int, default=5, help="exploration depth")
+    verify.add_argument("--depth", type=_count, default=5, help="exploration depth")
     verify.set_defaults(func=cmd_verify)
 
     infer = sub.add_parser("infer", help="minimal multiset policy of an agent")

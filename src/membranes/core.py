@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Protocol, runtime_checkable
+from typing import Callable, Iterable, Iterator, Mapping, Protocol, runtime_checkable
 
 from .diagnostics import Diagnostic, error
 
@@ -117,11 +117,6 @@ class Repl(Agent):
 def _prefixed(a: Agent) -> str:
     # Par binds looser than prefixing and replication, so it needs parens there.
     return f"({a})" if isinstance(a, Par) else str(a)
-
-
-def format_agent(a: Agent) -> str:
-    """Concrete syntax for an agent; re-parses to an equal tree."""
-    return str(a)
 
 
 def par(*agents: Agent) -> Agent:
@@ -243,9 +238,6 @@ class Membrane:
                 return level
         return TrustLevel.LOC
 
-    def trust_map(self) -> dict[str, TrustLevel]:
-        return dict(self.trust)
-
     def with_policy(self, policy: Policy) -> "Membrane":
         return Membrane(self.trust, policy)
 
@@ -280,9 +272,6 @@ class System:
     def __len__(self) -> int:
         return len(self.sites)
 
-    def site_names(self) -> list[str]:
-        return [s.name for s in self.sites]
-
     def get(self, name: str) -> Site | None:
         for s in self.sites:
             if s.name == name:
@@ -304,9 +293,6 @@ class System:
         return System(tuple(out))
 
 
-EMPTY_SYSTEM = System()
-
-
 def normalize_system(n: System) -> System:
     return System(tuple(Site(s.name, s.membrane, normalize(s.agent)) for s in n.sites))
 
@@ -318,18 +304,6 @@ def system_key(n: System) -> tuple:
 def is_trustworthy(site: Site) -> bool:
     """A site is trustworthy when its own trust map assigns itself good."""
     return site.membrane.trust_of(site.name) == TrustLevel.LGOOD
-
-
-def action_names(a: Agent) -> set[str]:
-    return {node.action for node in subagents(a) if isinstance(node, Act)}
-
-
-def go_targets(a: Agent) -> set[str]:
-    return {node.target for node in subagents(a) if isinstance(node, Go)}
-
-
-def digests(a: Agent) -> list[Policy]:
-    return [node.digest for node in subagents(a) if isinstance(node, Go)]
 
 
 def validate_system(n: System, regime: PolicyRegime | None = None) -> list[Diagnostic]:
@@ -352,22 +326,28 @@ def validate_system(n: System, regime: PolicyRegime | None = None) -> list[Diagn
     # make Act and Loc overlap.
     localities: set[str] = set(seen)
     actions: set[str] = set()
+    carried: list[list[Policy]] = []  # the digests at each site
     for site in n.sites:
         localities.update(name for name, _ in site.membrane.trust)
-        localities.update(go_targets(site.agent))
-        actions.update(action_names(site.agent))
+        carried.append([])
+        for node in subagents(site.agent):
+            if isinstance(node, Act):
+                actions.add(node.action)
+            elif isinstance(node, Go):
+                localities.add(node.target)
+                carried[-1].append(node.digest)
     for name in sorted(actions & localities):
         diags.append(error(f"'{name}' is used both as an action and as a locality"))
 
     if regime is None:
         regime = n.sites[0].membrane.policy.regime if n.sites else None
     if regime is not None:
-        for site in n.sites:
+        for site, digests in zip(n.sites, carried):
             if site.membrane.policy.regime != regime:
                 diags.append(error(
                     f"site '{site.name}' has a {site.membrane.policy.regime.value} membrane policy "
                     f"under the {regime.value} regime", site=site.name))
-            for digest in digests(site.agent):
+            for digest in digests:
                 if digest.regime != regime:
                     diags.append(error(
                         f"site '{site.name}' carries a {digest.regime.value} digest "
@@ -387,3 +367,60 @@ def coherent(n: System) -> bool:
             if not trust_below(k.membrane.trust_of(l.name), l.membrane.trust_of(l.name)):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Well-formedness judgments
+
+
+@dataclass(frozen=True)
+class Judgment:
+    """A well-formedness verdict together with its explanation.
+
+    `verdict` is True or False, or None when a bounded search gave up
+    before deciding; `notes` explain it, one line each.
+    """
+
+    verdict: bool | None
+    notes: tuple[str, ...] = ()
+
+    @classmethod
+    def of_failures(cls, failures: Iterable[str]) -> "Judgment":
+        """Well-formed exactly when there is nothing to report."""
+        notes = tuple(failures)
+        return cls(not notes, notes)
+
+
+def combine(verdicts: Iterable[bool | None]) -> bool | None:
+    """Conjunction of verdicts: any False decides, then any None."""
+    out: bool | None = True
+    for v in verdicts:
+        if v is False:
+            return False
+        if v is None:
+            out = None
+    return out
+
+
+def judge_trustworthy(n: System, policy_type: type, what: str,
+                      judge_site: Callable[[Site, Policy], Judgment]) -> Judgment:
+    """Judge every trustworthy site with `judge_site`; the system verdict is
+    their conjunction and each note is prefixed with its site's name.
+
+    Untrusted sites pass unconditionally: agents emigrating from them are
+    never taken at their word, so there is nothing to certify locally. A
+    site whose policy is not of `policy_type` fails.
+    """
+    verdicts: list[bool | None] = []
+    notes: list[str] = []
+    for site in n.sites:
+        if not is_trustworthy(site):
+            continue
+        policy = site.membrane.policy
+        if isinstance(policy, policy_type):
+            judgment = judge_site(site, policy)
+        else:
+            judgment = Judgment(False, (f"membrane policy is not a {what} policy",))
+        verdicts.append(judgment.verdict)
+        notes.extend(f"{site.name}: {note}" for note in judgment.notes)
+    return Judgment(combine(verdicts), tuple(notes))

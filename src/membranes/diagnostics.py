@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 class Severity(enum.Enum):
     ERROR = "error"
-    WARNING = "warning"
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,12 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import ClassVar, Iterable, Mapping
 
 from .core import (
-    Act, Agent, Go, Nil, Par, PolicyRegime, Repl, System, format_agent,
-    is_trustworthy, subagents, threads,
+    Act, Agent, Go, Judgment, Nil, Par, PolicyRegime, Repl, System, combine,
+    judge_trustworthy, subagents, threads,
 )
 
 DEFAULT_BOUND = 10_000
@@ -157,20 +158,31 @@ def _product(a1: Dfa, a2: Dfa) -> Dfa:
     return Dfa.of(name.values(), a1.alphabet, name[(a1.start, a2.start)], finals, delta)
 
 
-def is_empty(a: Dfa) -> bool:
-    """Breadth-first search from the start state; empty iff no final is reachable."""
-    seen = {a.start}
-    queue = deque([a.start])
+def _bfs(start, edges):
+    """Breadth-first search from `start`, where `edges(node)` lists its
+    (symbol, successor) pairs; yields each node reached with the first
+    word that reached it."""
+    seen = {start}
+    queue = deque([(start, ())])
     while queue:
-        s = queue.popleft()
-        if s in a.finals:
-            return False
-        for sym in a.alphabet:
-            nxt = a.delta[(s, sym)]
+        node, word = queue.popleft()
+        yield node, word
+        for sym, nxt in edges(node):
             if nxt not in seen:
                 seen.add(nxt)
-                queue.append(nxt)
-    return True
+                queue.append((nxt, word + (sym,)))
+
+
+def _reachable(a: Dfa):
+    """Every reachable state with a shortest word reaching it, breadth-first
+    over the sorted alphabet."""
+    syms = sorted(a.alphabet)
+    return _bfs(a.start, lambda s: [(sym, a.delta[(s, sym)]) for sym in syms])
+
+
+def is_empty(a: Dfa) -> bool:
+    """Empty iff no final state is reachable."""
+    return all(s not in a.finals for s, _ in _reachable(a))
 
 
 def enforces_dfa(a1: Dfa, a2: Dfa) -> bool:
@@ -188,18 +200,7 @@ def minimize(a: Dfa) -> Dfa:
     equal as values.
     """
     syms = sorted(a.alphabet)
-    reach = []
-    seen = {a.start}
-    queue = deque([a.start])
-    while queue:
-        s = queue.popleft()
-        reach.append(s)
-        for sym in syms:
-            nxt = a.delta[(s, sym)]
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-
+    reach = [s for s, _ in _reachable(a)]
     final_block = sorted(s for s in reach if s in a.finals)
     other_block = sorted(s for s in reach if s not in a.finals)
     blocks = [b for b in (final_block, other_block) if b]
@@ -217,17 +218,9 @@ def minimize(a: Dfa) -> Dfa:
         blocks = refined
         block_of = {s: i for i, b in enumerate(blocks) for s in b}
 
-    names: dict[int, str] = {}
-    order = deque([block_of[a.start]])
-    names[block_of[a.start]] = "q0"
-    while order:
-        i = order.popleft()
-        rep = blocks[i][0]
-        for sym in syms:
-            j = block_of[a.delta[(rep, sym)]]
-            if j not in names:
-                names[j] = f"q{len(names)}"
-                order.append(j)
+    quotient = _bfs(block_of[a.start],
+                    lambda i: [(sym, block_of[a.delta[(blocks[i][0], sym)]]) for sym in syms])
+    names = {i: f"q{k}" for k, (i, _) in enumerate(quotient)}
 
     delta = {}
     finals = set()
@@ -320,42 +313,25 @@ def cre_normal(e: Cre) -> Cre:
     """
     if isinstance(e, (Eps, Sym)):
         return e
-    if isinstance(e, Seq):
+    if isinstance(e, (Seq, Shuffle)):
+        kind = type(e)
         factors = []
         stack = [e]
         while stack:
             node = stack.pop()
-            if isinstance(node, Seq):
-                stack.append(node.second)
-                stack.append(node.first)
+            if type(node) is kind:
+                stack.extend((node.second, node.first) if kind is Seq else (node.right, node.left))
             else:
                 norm = cre_normal(node)
                 if not isinstance(norm, Eps):
                     factors.append(norm)
         if not factors:
             return EPS
+        if kind is Shuffle:
+            factors.sort(key=cre_key)
         out = factors[-1]
         for f in reversed(factors[:-1]):
-            out = Seq(f, out)
-        return out
-    if isinstance(e, Shuffle):
-        factors = []
-        stack = [e]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Shuffle):
-                stack.append(node.right)
-                stack.append(node.left)
-            else:
-                norm = cre_normal(node)
-                if not isinstance(norm, Eps):
-                    factors.append(norm)
-        if not factors:
-            return EPS
-        factors.sort(key=cre_key)
-        out = factors[-1]
-        for f in reversed(factors[:-1]):
-            out = Shuffle(f, out)
+            out = kind(f, out)
         return out
     if isinstance(e, ShuffleClosure):
         body = cre_normal(e.body)
@@ -382,20 +358,24 @@ def nullable(e: Cre) -> bool:
     raise TypeError(f"not a CRE: {e!r}")
 
 
-def cre_symbols(e: Cre) -> frozenset[str]:
-    out = set()
+def _cre_nodes(e: Cre) -> list[Cre]:
+    """All nodes of an expression, e itself included."""
+    out = []
     stack = [e]
     while stack:
         node = stack.pop()
-        if isinstance(node, Sym):
-            out.add(node.symbol)
-        elif isinstance(node, Seq):
+        out.append(node)
+        if isinstance(node, Seq):
             stack.extend((node.first, node.second))
         elif isinstance(node, Shuffle):
             stack.extend((node.left, node.right))
         elif isinstance(node, ShuffleClosure):
             stack.append(node.body)
-    return frozenset(out)
+    return out
+
+
+def cre_symbols(e: Cre) -> frozenset[str]:
+    return frozenset(node.symbol for node in _cre_nodes(e) if isinstance(node, Sym))
 
 
 def derive(e: Cre, symbol: str) -> frozenset[Cre]:
@@ -420,9 +400,6 @@ def derive(e: Cre, symbol: str) -> frozenset[Cre]:
     if isinstance(e, ShuffleClosure):
         return frozenset(cre_normal(Shuffle(d, e)) for d in derive(e.body, symbol))
     raise TypeError(f"not a CRE: {e!r}")
-
-
-DerivativeState = frozenset  # of Cre alternatives
 
 
 def derive_state(state: frozenset[Cre], symbol: str) -> frozenset[Cre]:
@@ -496,11 +473,6 @@ class DfaCheck:
 
     verdict: str  # "yes" | "no" | "unknown"
     counterexample: tuple[str, ...] | None = None
-    subject: str | None = None  # rendering of the agent the verdict is about
-
-    @property
-    def is_yes(self) -> bool:
-        return self.verdict == "yes"
 
 
 def _has_replication(p: Agent) -> bool:
@@ -512,21 +484,6 @@ def _has_replication(p: Agent) -> bool:
 # their states small; past this many nodes in one derivative state the
 # bounded search gives up rather than degrade or overflow the stack.
 _STATE_SIZE_CAP = 64
-
-
-def _cre_size(e: Cre) -> int:
-    count = 0
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        count += 1
-        if isinstance(node, Seq):
-            stack.extend((node.first, node.second))
-        elif isinstance(node, Shuffle):
-            stack.extend((node.left, node.right))
-        elif isinstance(node, ShuffleClosure):
-            stack.append(node.body)
-    return count
 
 
 def _language_included(e: Cre, a: Dfa, start: str, bound: int, bounded: bool):
@@ -555,21 +512,26 @@ def _language_included(e: Cre, a: Dfa, start: str, bound: int, bounded: bool):
             nxt = (state2, dstate2)
             if nxt not in seen:
                 if bounded and (len(seen) >= bound
-                                or sum(_cre_size(x) for x in state2) > _STATE_SIZE_CAP):
+                                or sum(len(_cre_nodes(x)) for x in state2) > _STATE_SIZE_CAP):
                     return "unknown", None
                 seen.add(nxt)
                 queue.append((nxt, word + (symbol,)))
     return "yes", None
 
 
-def _combine(verdicts: Iterable[str]) -> str:
-    out = "yes"
-    for v in verdicts:
-        if v == "no":
-            return "no"
-        if v == "unknown":
-            out = "unknown"
-    return out
+def _digest_checks(p: Agent, bound: int):
+    """Check every migration inside p against the digest it professes, from
+    that digest's start state; yields (go node, verdict, counterexample)
+    in pre-order. A digest that is not a DFA policy fails with no word.
+    """
+    for node in subagents(p):
+        if isinstance(node, Go):
+            if not isinstance(node.digest, DfaPolicy):
+                yield node, "no", None
+                continue
+            dfa = node.digest.dfa
+            yield (node, *_language_included(cre_of(node.cont), dfa, dfa.start, bound,
+                                             _has_replication(node.cont)))
 
 
 def satisfies_dfa(p: Agent, a: Dfa, bound: int = DEFAULT_BOUND) -> DfaCheck:
@@ -581,106 +543,70 @@ def satisfies_dfa(p: Agent, a: Dfa, bound: int = DEFAULT_BOUND) -> DfaCheck:
     agents; with replication the search is cut off at `bound` explored
     pairs and reports unknown.
     """
-    checks: list[tuple[Agent, Dfa]] = [(p, a)]
-    for node in subagents(p):
-        if isinstance(node, Go):
-            if not isinstance(node.digest, DfaPolicy):
-                return DfaCheck("no", None, subject=format_agent(node))
-            checks.append((node.cont, node.digest.dfa))
+    own = _language_included(cre_of(p), a, a.start, bound, _has_replication(p))
     unknown = False
-    for agent, dfa in checks:
-        verdict, word = _language_included(
-            cre_of(agent), dfa, dfa.start, bound, _has_replication(agent))
+    for _, verdict, word in chain([(p, *own)], _digest_checks(p, bound)):
         if verdict == "no":
-            return DfaCheck("no", word, subject=format_agent(agent))
-        if verdict == "unknown":
-            unknown = True
+            return DfaCheck("no", word)
+        unknown = unknown or verdict == "unknown"
     return DfaCheck("unknown" if unknown else "yes")
 
 
-def wellformed_dfa(n: System, bound: int = DEFAULT_BOUND) -> bool | None:
+_VERDICT = {"yes": True, "no": False, "unknown": None}
+
+
+def judge_dfa(n: System, bound: int = DEFAULT_BOUND) -> Judgment:
     """Thread-wise well-formedness: each thread at a trustworthy site must fit
     the site automaton from *some* state: its traces are suffixes of
     accepted words, witnessing code that is mid-protocol but on-protocol.
+    Every digest a thread professes must also hold of the code behind it.
 
-    Returns True, False, or None when a replication bound was exceeded
-    before a verdict was reached. Precondition: n is coherent.
+    The verdict is None when a replication bound was exceeded before a
+    verdict was reached. Precondition: n is coherent.
     """
-    verdict, _ = _wellformed_dfa(n, bound)
-    return {"yes": True, "no": False, "unknown": None}[verdict]
+    def judge_site(site, policy):
+        dfa = policy.dfa
+        verdicts: list[bool | None] = []
+        notes: list[str] = []
+        for i, thread in enumerate(threads(site.agent)):
+            for node, v, word in _digest_checks(thread, bound):
+                verdicts.append(_VERDICT[v])
+                if v == "no" and not isinstance(node.digest, DfaPolicy):
+                    notes.append(f"thread {i} carries a non-DFA digest")
+                elif v == "no":
+                    notes.append(f"thread {i} professes digest {node.digest} "
+                                 f"its code violates (counterexample: '{' '.join(word)}')")
+            bounded = _has_replication(thread)
+            e = cre_of(thread)
+            per_state = {}
+            for s in sorted(dfa.states):
+                per_state[s] = _language_included(e, dfa, s, bound, bounded)
+                if per_state[s][0] == "yes":
+                    verdicts.append(True)
+                    witness = next((w for q, w in _reachable(dfa) if q == s), None)
+                    if witness is not None:
+                        notes.append(
+                            f"thread {i} fits {policy} from state {s}"
+                            + (f" (reached by '{' '.join(witness)}')" if witness else " (the start state)"))
+                    break
+            else:
+                if any(v == "unknown" for v, _ in per_state.values()):
+                    verdicts.append(None)
+                    notes.append(f"thread {i} verdict inconclusive (bound {bound} exceeded)")
+                else:
+                    verdicts.append(False)
+                    # every state was searched, the start state included
+                    word = per_state[dfa.start][1]
+                    notes.append(f"thread {i} fits {policy} from no state "
+                                 f"(counterexample from start: '{' '.join(word)}')")
+        return Judgment(combine(verdicts), tuple(notes))
+
+    return judge_trustworthy(n, DfaPolicy, "DFA", judge_site)
+
+
+def wellformed_dfa(n: System, bound: int = DEFAULT_BOUND) -> bool | None:
+    return judge_dfa(n, bound).verdict
 
 
 def explain_wellformed_dfa(n: System, bound: int = DEFAULT_BOUND) -> list[str]:
-    return _wellformed_dfa(n, bound)[1]
-
-
-def _shortest_path_word(a: Dfa, target: str) -> tuple[str, ...] | None:
-    seen = {a.start}
-    queue = deque([(a.start, ())])
-    while queue:
-        s, word = queue.popleft()
-        if s == target:
-            return word
-        for sym in sorted(a.alphabet):
-            nxt = a.delta[(s, sym)]
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, word + (sym,)))
-    return None
-
-
-def _wellformed_dfa(n: System, bound: int) -> tuple[str, list[str]]:
-    notes: list[str] = []
-    verdicts = []
-    for site in n:
-        if not is_trustworthy(site):
-            continue
-        policy = site.membrane.policy
-        if not isinstance(policy, DfaPolicy):
-            notes.append(f"{site.name}: membrane policy is not a DFA policy")
-            verdicts.append("no")
-            continue
-        dfa = policy.dfa
-        for i, thread in enumerate(threads(site.agent)):
-            digest_verdicts = []
-            for node in subagents(thread):
-                if isinstance(node, Go):
-                    if not isinstance(node.digest, DfaPolicy):
-                        digest_verdicts.append("no")
-                        notes.append(f"{site.name}: thread {i} carries a non-DFA digest")
-                        continue
-                    v, word = _language_included(
-                        cre_of(node.cont), node.digest.dfa, node.digest.dfa.start,
-                        bound, _has_replication(node.cont))
-                    digest_verdicts.append(v)
-                    if v == "no":
-                        notes.append(
-                            f"{site.name}: thread {i} professes digest {node.digest} "
-                            f"its code violates (counterexample: '{' '.join(word)}')")
-            bounded = _has_replication(thread)
-            e = cre_of(thread)
-            per_state = []
-            hit = None
-            for s in sorted(dfa.states):
-                v, word = _language_included(e, dfa, s, bound, bounded)
-                per_state.append(v)
-                if v == "yes":
-                    hit = s
-                    break
-            if hit is not None:
-                exists = "yes"
-                witness = _shortest_path_word(dfa, hit)
-                if witness is not None:
-                    notes.append(
-                        f"{site.name}: thread {i} fits {policy} from state {hit}"
-                        + (f" (reached by '{' '.join(witness)}')" if witness else " (the start state)"))
-            elif "unknown" in per_state:
-                exists = "unknown"
-                notes.append(f"{site.name}: thread {i} verdict inconclusive (bound {bound} exceeded)")
-            else:
-                exists = "no"
-                _, word = _language_included(e, dfa, dfa.start, bound, bounded)
-                cex = f" (counterexample from start: '{' '.join(word)}')" if word is not None else ""
-                notes.append(f"{site.name}: thread {i} fits {policy} from no state{cex}")
-            verdicts.append(_combine(digest_verdicts + [exists]))
-    return _combine(verdicts), notes
+    return list(judge_dfa(n, bound).notes)

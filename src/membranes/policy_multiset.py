@@ -9,8 +9,8 @@ from dataclasses import dataclass
 from typing import ClassVar, Iterable, Mapping
 
 from .core import (
-    Act, Agent, Go, Nil, Par, PolicyRegime, Repl, System, is_trustworthy,
-    threads,
+    Act, Agent, Go, Judgment, Nil, Par, PolicyRegime, Repl, System,
+    is_trustworthy, judge_trustworthy, threads,
 )
 
 
@@ -44,15 +44,6 @@ def count_add(a, b):
     if a is OMEGA or b is OMEGA:
         return OMEGA
     return a + b
-
-
-def count_sub(a, b):
-    """a - b for counts, defined only when b <= a; omega minus anything is omega."""
-    if a is OMEGA:
-        return OMEGA
-    if b is OMEGA or b > a:
-        raise ValueError(f"cannot take {b} occurrences out of {a}")
-    return a - b
 
 
 @dataclass(frozen=True)
@@ -179,59 +170,36 @@ def typecheck_multiset(p: Agent, t: MultisetPolicy) -> bool:
     return inferred is not None and enforces_multiset(inferred, t)
 
 
-def wellformed_multiset(n: System) -> bool:
+def _usage_note(who: str, inferred: MultisetPolicy | None, budget: MultisetPolicy) -> list[str]:
+    """Why code with the given inferred usage does not fit `budget`, if it does not."""
+    if inferred is None:
+        return [f"{who} has an invalid digest"]
+    if not enforces_multiset(inferred, budget):
+        return [f"{who} uses {inferred}, exceeding {budget}"]
+    return []
+
+
+def judge_multiset(n: System) -> Judgment:
     """Each thread at each trustworthy site conforms to the site's entry policy.
 
     Thread-wise on purpose: an entry policy constrains single agents, and
     k admitted agents may jointly use k times the budget.
     Precondition: n is coherent.
     """
-    return not explain_wellformed_multiset(n)
+    return judge_trustworthy(n, MultisetPolicy, "multiset", lambda site, policy: Judgment.of_failures(
+        note for i, thread in enumerate(threads(site.agent))
+        for note in _usage_note(f"thread {i}", infer_policy(thread), policy)))
 
 
-def explain_wellformed_multiset(n: System) -> list[str]:
-    failures = []
-    for site in n:
-        if not is_trustworthy(site):
-            continue
-        policy = site.membrane.policy
-        if not isinstance(policy, MultisetPolicy):
-            failures.append(f"{site.name}: membrane policy is not a multiset policy")
-            continue
-        for i, thread in enumerate(threads(site.agent)):
-            inferred = infer_policy(thread)
-            if inferred is None:
-                failures.append(f"{site.name}: thread {i} has an invalid digest")
-            elif not enforces_multiset(inferred, policy):
-                failures.append(f"{site.name}: thread {i} uses {inferred}, exceeding {policy}")
-    return failures
-
-
-def wellformed_static(n: System) -> bool:
+def judge_static(n: System) -> Judgment:
     """Joint resident usage at each trustworthy site fits the membrane policy.
 
     This is the invariant maintained by static resident membranes, which
     re-infer the resident code's minimal policy at every admission.
     Precondition: n is coherent.
     """
-    return not explain_wellformed_static(n)
-
-
-def explain_wellformed_static(n: System) -> list[str]:
-    failures = []
-    for site in n:
-        if not is_trustworthy(site):
-            continue
-        policy = site.membrane.policy
-        if not isinstance(policy, MultisetPolicy):
-            failures.append(f"{site.name}: membrane policy is not a multiset policy")
-            continue
-        inferred = infer_policy(site.agent)
-        if inferred is None:
-            failures.append(f"{site.name}: resident code has an invalid digest")
-        elif not enforces_multiset(inferred, policy):
-            failures.append(f"{site.name}: resident code uses {inferred}, exceeding {policy}")
-    return failures
+    return judge_trustworthy(n, MultisetPolicy, "multiset", lambda site, policy: Judgment.of_failures(
+        _usage_note("resident code", infer_policy(site.agent), policy)))
 
 
 # Resident record: the external map from trustworthy sites to their original
@@ -239,34 +207,43 @@ def explain_wellformed_static(n: System) -> list[str]:
 ResidentRecord = dict[str, MultisetPolicy]
 
 
-def wellformed_resident(n: System, theta: Mapping[str, MultisetPolicy]) -> bool:
+def check_record(n: System, theta: Mapping[str, MultisetPolicy]) -> None:
+    """Raise ValueError unless the record covers every trustworthy site."""
+    for site in n.sites:
+        if is_trustworthy(site) and site.name not in theta:
+            raise ValueError(f"resident record does not cover trustworthy site '{site.name}'")
+
+
+def judge_resident(n: System, theta: Mapping[str, MultisetPolicy]) -> Judgment:
     """Resident well-formedness under a record of original policies.
 
     Per trustworthy site: the resident code's inferred usage plus what the
     membrane still offers must fit the site's original budget theta[site].
-    Precondition: n is coherent and theta covers every trustworthy site.
+    Raises ValueError unless theta covers every trustworthy site.
+    Precondition: n is coherent.
     """
-    return not explain_wellformed_resident(n, theta)
+    check_record(n, theta)
 
-
-def explain_wellformed_resident(n: System, theta: Mapping[str, MultisetPolicy]) -> list[str]:
-    failures = []
-    for site in n:
-        if not is_trustworthy(site):
-            continue
-        policy = site.membrane.policy
-        if not isinstance(policy, MultisetPolicy):
-            failures.append(f"{site.name}: membrane policy is not a multiset policy")
-            continue
-        if site.name not in theta:
-            raise ValueError(f"resident record does not cover trustworthy site '{site.name}'")
+    def judge_site(site, policy):
         inferred = infer_policy(site.agent)
         if inferred is None:
-            failures.append(f"{site.name}: resident code has an invalid digest")
-            continue
+            return Judgment(False, ("resident code has an invalid digest",))
         combined = join(inferred, policy)
-        if not enforces_multiset(combined, theta[site.name]):
-            failures.append(
-                f"{site.name}: resident usage plus remaining budget is {combined}, "
-                f"exceeding the original {theta[site.name]}")
-    return failures
+        if enforces_multiset(combined, theta[site.name]):
+            return Judgment(True)
+        return Judgment(False, (f"resident usage plus remaining budget is {combined}, "
+                                f"exceeding the original {theta[site.name]}",))
+
+    return judge_trustworthy(n, MultisetPolicy, "multiset", judge_site)
+
+
+def wellformed_multiset(n: System) -> bool:
+    return judge_multiset(n).verdict
+
+
+def wellformed_static(n: System) -> bool:
+    return judge_static(n).verdict
+
+
+def wellformed_resident(n: System, theta: Mapping[str, MultisetPolicy]) -> bool:
+    return judge_resident(n, theta).verdict

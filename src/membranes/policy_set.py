@@ -8,8 +8,8 @@ from dataclasses import dataclass
 from typing import ClassVar, Iterable
 
 from .core import (
-    Act, Agent, Go, Nil, Par, PolicyRegime, Repl, System, format_agent,
-    is_trustworthy,
+    Act, Agent, Go, Judgment, Nil, Par, PolicyRegime, Repl, System,
+    judge_trustworthy,
 )
 
 
@@ -30,9 +30,6 @@ class SetPolicy:
 
     def sort_key(self) -> tuple:
         return ("set", tuple(sorted(self.labels)))
-
-
-EMPTY_SET_POLICY = SetPolicy(frozenset())
 
 
 def enforces_set(t1: SetPolicy, t2: SetPolicy) -> bool:
@@ -64,7 +61,7 @@ def _typecheck(p: Agent, t: SetPolicy, failures: list[str] | None) -> bool:
     if isinstance(p, Act):
         ok = p.action in t
         if not ok and failures is not None:
-            failures.append(f"action '{p.action}' not allowed by {t} (in {format_agent(p)})")
+            failures.append(f"action '{p.action}' not allowed by {t} (in {p})")
         return _typecheck(p.cont, t, failures) and ok
     if isinstance(p, Go):
         ok = p.target in t
@@ -86,25 +83,19 @@ def _typecheck(p: Agent, t: SetPolicy, failures: list[str] | None) -> bool:
     raise TypeError(f"not an agent: {p!r}")
 
 
-def wellformed_set(n: System) -> bool:
-    """Every trustworthy site's resident code conforms to its own policy.
+def judge_set(n: System) -> Judgment:
+    """Every trustworthy site's resident code conforms to its own policy;
+    the notes list each violated rule.
 
-    Untrusted sites pass unconditionally: agents emigrating from them are
-    never taken at their word, so there is nothing to certify locally.
     Precondition: n is coherent.
     """
-    return not explain_wellformed_set(n)
+    return judge_trustworthy(n, SetPolicy, "set", lambda site, policy: Judgment.of_failures(
+        explain_typecheck_set(site.agent, policy)))
+
+
+def wellformed_set(n: System) -> bool:
+    return judge_set(n).verdict
 
 
 def explain_wellformed_set(n: System) -> list[str]:
-    failures = []
-    for site in n:
-        if not is_trustworthy(site):
-            continue
-        policy = site.membrane.policy
-        if not isinstance(policy, SetPolicy):
-            failures.append(f"{site.name}: membrane policy is not a set policy")
-            continue
-        for line in explain_typecheck_set(site.agent, policy):
-            failures.append(f"{site.name}: {line}")
-    return failures
+    return list(judge_set(n).notes)

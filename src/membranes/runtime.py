@@ -18,27 +18,22 @@ import enum
 import random
 from collections import Counter, deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Callable, Mapping
 
 from .core import (
-    Act, Agent, Go, Membrane, NIL, Nil, Par, Policy, PolicyRegime, Repl,
-    System, TrustLevel, agent_key, is_trustworthy, normalize,
+    Act, Agent, Go, Judgment, Membrane, NIL, Nil, Par, Policy, PolicyRegime,
+    Repl, System, TrustLevel, agent_key, is_trustworthy, normalize,
     normalize_system, system_key, threads, validate_system,
 )
 from .policy_dfa import (
-    DEFAULT_BOUND, DfaPolicy, accepts_from, cre_of, enforces_dfa, lang_words,
-    satisfies_dfa, wellformed_dfa, explain_wellformed_dfa,
+    DEFAULT_BOUND, DfaCheck, accepts_from, cre_of, enforces_dfa, judge_dfa,
+    lang_words, satisfies_dfa,
 )
 from .policy_multiset import (
-    MultisetPolicy, enforces_multiset, infer_policy, join, subtract,
-    typecheck_multiset, wellformed_multiset, wellformed_resident,
-    wellformed_static, explain_wellformed_multiset, explain_wellformed_resident,
-    explain_wellformed_static,
+    MultisetPolicy, check_record, enforces_multiset, infer_policy, join,
+    judge_multiset, judge_resident, judge_static, subtract, typecheck_multiset,
 )
-from .policy_set import (
-    SetPolicy, enforces_set, typecheck_set, wellformed_set,
-    explain_wellformed_set,
-)
+from .policy_set import SetPolicy, enforces_set, judge_set, typecheck_set
 
 
 class MembraneKind(enum.Enum):
@@ -70,6 +65,64 @@ class Mode:
         if isinstance(kind, str):
             kind = MembraneKind(kind)
         return cls(regime, kind, dfa_bound)
+
+
+# ---------------------------------------------------------------------------
+# Policy regimes
+
+
+@dataclass(frozen=True)
+class Regime:
+    """What a policy regime supplies to entry membranes and the verifiers.
+
+    Safety checks `traces` per thread when `thread_wise`, else per site;
+    `violation` says why a trace breaks the policy, or is None. Entries
+    call through module globals, so that a wrapped function sees every call.
+    """
+
+    name: str
+    enforces: Callable[[Policy, Policy], bool]
+    conforms: Callable[[Agent, Policy, int], DfaCheck]
+    judge: Callable[[System, int], Judgment]
+    thread_wise: bool
+    traces: Callable[[Agent, int], set[tuple[str, ...]]]
+    violation: Callable[[tuple[str, ...], Policy], str | None]
+
+
+def _escapes_set(trace: tuple[str, ...], policy: SetPolicy) -> str | None:
+    used = SetPolicy.of(trace)
+    return None if enforces_set(used, policy) else f"trace labels {used} escape {policy}"
+
+
+def _exceeds_multiset(trace: tuple[str, ...], policy: MultisetPolicy) -> str | None:
+    used = MultisetPolicy.of(Counter(trace))
+    return None if enforces_multiset(used, policy) else f"trace uses {used}, exceeding {policy}"
+
+
+def _outside_dfa(word: tuple[str, ...], policy) -> str | None:
+    dfa = policy.dfa
+    if any(accepts_from(dfa, s, word) for s in sorted(dfa.states)):
+        return None
+    return f"word is a suffix of no word accepted by {policy}"
+
+
+REGIMES: dict[PolicyRegime, Regime] = {
+    PolicyRegime.SET: Regime(
+        "set", enforces_set,
+        lambda code, policy, bound: DfaCheck("yes" if typecheck_set(code, policy) else "no"),
+        lambda n, bound: judge_set(n),
+        False, lambda p, depth: agent_traces(p, depth), _escapes_set),
+    PolicyRegime.MULTISET: Regime(
+        "multiset", enforces_multiset,
+        lambda code, policy, bound: DfaCheck("yes" if typecheck_multiset(code, policy) else "no"),
+        lambda n, bound: judge_multiset(n),
+        True, lambda p, depth: agent_traces(p, depth), _exceeds_multiset),
+    PolicyRegime.DFA: Regime(
+        "DFA", lambda digest, policy: enforces_dfa(digest.dfa, policy.dfa),
+        lambda code, policy, bound: satisfies_dfa(code, policy.dfa, bound),
+        lambda n, bound: judge_dfa(n, bound),
+        True, lambda p, depth: lang_words(cre_of(p), depth), _outside_dfa),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -160,28 +213,12 @@ def allows(membrane: Membrane, source: str, digest: Policy, code: Agent,
     policy = membrane.policy
 
     if mode.kind == MembraneKind.ENTRY:
-        if mode.regime == PolicyRegime.SET:
-            if trusted:
-                if enforces_set(digest, policy):
-                    return _admit(membrane, f"digest {digest} enforces {policy}")
-                return _deny(f"digest {digest} does not enforce {policy}")
-            if typecheck_set(code, policy):
-                return _admit(membrane, f"code conforms to {policy}")
-            return _deny(f"code does not conform to {policy}")
-        if mode.regime == PolicyRegime.MULTISET:
-            if trusted:
-                if enforces_multiset(digest, policy):
-                    return _admit(membrane, f"digest {digest} enforces {policy}")
-                return _deny(f"digest {digest} does not enforce {policy}")
-            if typecheck_multiset(code, policy):
-                return _admit(membrane, f"code conforms to {policy}")
-            return _deny(f"code does not conform to {policy}")
-        # DFA regime
+        regime = REGIMES[mode.regime]
         if trusted:
-            if enforces_dfa(digest.dfa, policy.dfa):
+            if regime.enforces(digest, policy):
                 return _admit(membrane, f"digest {digest} enforces {policy}")
             return _deny(f"digest {digest} does not enforce {policy}")
-        check = satisfies_dfa(code, policy.dfa, mode.dfa_bound)
+        check = regime.conforms(code, policy, mode.dfa_bound)
         if check.verdict == "yes":
             return _admit(membrane, f"code conforms to {policy}")
         if check.verdict == "unknown":
@@ -218,41 +255,47 @@ def allows(membrane: Membrane, source: str, digest: Policy, code: Agent,
 # Reduction
 
 
-@dataclass(frozen=True)
-class _ActRedex:
-    action: str
-    residual: Agent
-
-
-@dataclass(frozen=True)
-class _GoRedex:
-    target: str
-    digest: Policy
-    moving: Agent
-    residual: Agent
-
-
-def _redexes(a: Agent) -> list:
-    """All immediate redexes of an agent, with the site-local residual left
-    behind when each one fires. Replication is unfolded lazily: redexes of
-    the body appear once, with the replica preserved in the residual.
+def _redexes(a: Agent) -> list[tuple[str, Policy | None, Agent | None, Agent]]:
+    """All immediate redexes of an agent, as (label, digest, moving,
+    residual): an action has its name as label and no digest or moving
+    code; a migration has its target as label, its digest, and the code
+    that moves. The residual is what stays at the site when the redex
+    fires. Replication is unfolded lazily: redexes of the body appear
+    once, with the replica preserved in the residual.
     """
     if isinstance(a, Nil):
         return []
     if isinstance(a, Act):
-        return [_ActRedex(a.action, a.cont)]
+        return [(a.action, None, None, a.cont)]
     if isinstance(a, Go):
-        return [_GoRedex(a.target, a.digest, a.cont, NIL)]
+        return [(a.target, a.digest, a.cont, NIL)]
     if isinstance(a, Par):
-        out = []
-        for r in _redexes(a.left):
-            out.append(replace(r, residual=Par(r.residual, a.right)))
-        for r in _redexes(a.right):
-            out.append(replace(r, residual=Par(a.left, r.residual)))
-        return out
+        return ([(l, d, m, Par(r, a.right)) for l, d, m, r in _redexes(a.left)]
+                + [(l, d, m, Par(a.left, r)) for l, d, m, r in _redexes(a.right)])
     if isinstance(a, Repl):
-        return [replace(r, residual=Par(r.residual, a)) for r in _redexes(a.body)]
+        return [(l, d, m, Par(r, a)) for l, d, m, r in _redexes(a.body)]
     raise TypeError(f"not an agent: {a!r}")
+
+
+def _moves(n: System, mode: Mode):
+    """Every redex at every site, with the membrane's verdict on migrations
+    (None for local actions): (site, redex, verdict). A migration to its
+    own site or to a missing one is denied without asking any membrane.
+    """
+    for site in n.sites:
+        for redex in _redexes(site.agent):
+            label, digest, moving, _ = redex
+            if digest is None:
+                yield site, redex, None
+            elif label == site.name:
+                yield site, redex, _deny("cannot migrate to the current site")
+            else:
+                target = n.get(label)
+                if target is None:
+                    yield site, redex, _deny(f"no site named '{label}'")
+                else:
+                    yield site, redex, allows(target.membrane, site.name, digest, moving,
+                                              mode, resident=target.agent)
 
 
 def step(n: System, mode: Mode) -> list[tuple[System, Event]]:
@@ -263,51 +306,27 @@ def step(n: System, mode: Mode) -> list[tuple[System, Event]]:
     is simply false; `run` reports them once the system is stuck.
     """
     out: dict[tuple, tuple[System, Event]] = {}
-    for site in n.sites:
-        for redex in _redexes(site.agent):
-            if isinstance(redex, _ActRedex):
-                succ = normalize_system(n.replace(site.name, agent=redex.residual))
-                event: Event = LocalAction(site.name, redex.action)
-            else:
-                if redex.target == site.name:
-                    continue  # the rule needs two distinct sites
-                target = n.get(redex.target)
-                if target is None:
-                    continue
-                verdict = allows(target.membrane, site.name, redex.digest,
-                                 redex.moving, mode, resident=target.agent)
-                if not verdict.admitted:
-                    continue
-                moved = n.replace(site.name, agent=redex.residual)
-                moved = moved.replace(redex.target, membrane=verdict.membrane,
-                                      agent=Par(redex.moving, target.agent))
-                succ = normalize_system(moved)
-                event = Migration(site.name, redex.target, redex.digest, True, verdict.reason)
-            out.setdefault((_event_key(event), system_key(succ)), (succ, event))
+    for site, (label, digest, moving, residual), verdict in _moves(n, mode):
+        if verdict is not None and not verdict.admitted:
+            continue
+        moved = n.replace(site.name, agent=residual)
+        if verdict is None:
+            event: Event = LocalAction(site.name, label)
+        else:
+            moved = moved.replace(label, membrane=verdict.membrane,
+                                  agent=Par(moving, n.get(label).agent))
+            event = Migration(site.name, label, digest, True, verdict.reason)
+        succ = normalize_system(moved)
+        out.setdefault((_event_key(event), system_key(succ)), (succ, event))
     return [out[k] for k in sorted(out)]
 
 
 def blocked_migrations(n: System, mode: Mode) -> list[Migration]:
     """Every migration redex that cannot fire right now, as non-admitted events."""
     out: dict[tuple, Migration] = {}
-    for site in n.sites:
-        for redex in _redexes(site.agent):
-            if not isinstance(redex, _GoRedex):
-                continue
-            if redex.target == site.name:
-                event = Migration(site.name, redex.target, redex.digest, False,
-                                  "cannot migrate to the current site")
-            else:
-                target = n.get(redex.target)
-                if target is None:
-                    event = Migration(site.name, redex.target, redex.digest, False,
-                                      f"no site named '{redex.target}'")
-                else:
-                    verdict = allows(target.membrane, site.name, redex.digest,
-                                     redex.moving, mode, resident=target.agent)
-                    if verdict.admitted:
-                        continue
-                    event = Migration(site.name, redex.target, redex.digest, False, verdict.reason)
+    for site, (label, digest, _, _), verdict in _moves(n, mode):
+        if verdict is not None and not verdict.admitted:
+            event = Migration(site.name, label, digest, False, verdict.reason)
             out.setdefault(_event_key(event), event)
     return [out[k] for k in sorted(out)]
 
@@ -332,7 +351,9 @@ def run(n: System, mode: Mode, max_steps: int, seed: int) -> tuple[list[Event], 
             break
         current, event = successors[rng.randrange(len(successors))]
         events.append(replace(event, step=i))
-    if not step(current, mode):
+    else:
+        successors = step(current, mode)
+    if not successors:
         for blocked in blocked_migrations(current, mode):
             events.append(replace(blocked, step=len(events)))
     return events, current
@@ -349,31 +370,10 @@ def lts_step(p: Agent) -> list[tuple[str, Agent]]:
     Residuals are normalized and the list deduplicated.
     """
     out: dict[tuple, tuple[str, Agent]] = {}
-    for label, residual in _lts_raw(p):
+    for label, _, _, residual in _redexes(p):
         norm = normalize(residual)
         out.setdefault((label, agent_key(norm)), (label, norm))
     return [out[k] for k in sorted(out)]
-
-
-def _lts_raw(p: Agent) -> Iterable[tuple[str, Agent]]:
-    if isinstance(p, Nil):
-        return
-    elif isinstance(p, Act):
-        yield p.action, p.cont
-    elif isinstance(p, Go):
-        yield p.target, NIL
-    elif isinstance(p, Par):
-        for label, residual in _lts_raw(p.left):
-            yield label, Par(residual, p.right)
-        for label, residual in _lts_raw(p.right):
-            yield label, Par(p.left, residual)
-    elif isinstance(p, Repl):
-        # one unfolding per derivation: the replica survives alongside the
-        # moved copy's residual; idle extra copies would add nothing
-        for label, residual in _lts_raw(p.body):
-            yield label, Par(residual, p)
-    else:
-        raise TypeError(f"not an agent: {p!r}")
 
 
 def agent_traces(p: Agent, depth: int) -> set[tuple[str, ...]]:
@@ -435,50 +435,43 @@ class Report:
 
 
 # ---------------------------------------------------------------------------
-# Well-formedness dispatch
+# Well-formedness
+
+
+def _record(mode: Mode,
+            theta: Mapping[str, MultisetPolicy] | None) -> Mapping[str, MultisetPolicy] | None:
+    """The resident record dynamic membranes are judged against; None for other kinds."""
+    if mode.kind != MembraneKind.RESIDENT_DYNAMIC:
+        return None
+    if theta is None:
+        raise ValueError("dynamic membranes need a resident record (theta)")
+    return theta
+
+
+def judge(n: System, mode: Mode,
+          theta: Mapping[str, MultisetPolicy] | None = None) -> Judgment:
+    """The regime's well-formedness judgment, with its explanation; the
+    verdict is None when inconclusive (DFA bound). Under dynamic membranes
+    theta must cover every trustworthy site (ValueError otherwise)."""
+    if mode.kind == MembraneKind.RESIDENT_STATIC:
+        return judge_static(n)
+    if mode.kind == MembraneKind.RESIDENT_DYNAMIC:
+        return judge_resident(n, _record(mode, theta))
+    return REGIMES[mode.regime].judge(n, mode.dfa_bound)
 
 
 def wellformed(n: System, mode: Mode,
                theta: Mapping[str, MultisetPolicy] | None = None) -> bool | None:
-    """The regime's well-formedness judgment; None means inconclusive (DFA bound)."""
-    if mode.regime == PolicyRegime.SET:
-        return wellformed_set(n)
-    if mode.regime == PolicyRegime.DFA:
-        return wellformed_dfa(n, mode.dfa_bound)
-    if mode.kind == MembraneKind.ENTRY:
-        return wellformed_multiset(n)
-    if mode.kind == MembraneKind.RESIDENT_STATIC:
-        return wellformed_static(n)
-    if theta is None:
-        raise ValueError("dynamic membranes need a resident record (theta)")
-    return wellformed_resident(n, theta)
+    return judge(n, mode, theta).verdict
 
 
 def explain_wellformed(n: System, mode: Mode,
                        theta: Mapping[str, MultisetPolicy] | None = None) -> list[str]:
-    if mode.regime == PolicyRegime.SET:
-        return explain_wellformed_set(n)
-    if mode.regime == PolicyRegime.DFA:
-        return explain_wellformed_dfa(n, mode.dfa_bound)
-    if mode.kind == MembraneKind.ENTRY:
-        return explain_wellformed_multiset(n)
-    if mode.kind == MembraneKind.RESIDENT_STATIC:
-        return explain_wellformed_static(n)
-    if theta is None:
-        raise ValueError("dynamic membranes need a resident record (theta)")
-    return explain_wellformed_resident(n, theta)
+    return list(judge(n, mode, theta).notes)
 
 
 # ---------------------------------------------------------------------------
 # Safety verification
-
-
-def _trace_set_policy(trace: tuple[str, ...]) -> SetPolicy:
-    return SetPolicy.of(trace)
-
-
-def _trace_multiset(trace: tuple[str, ...]) -> MultisetPolicy:
-    return MultisetPolicy.of(Counter(trace))
 
 
 def verify_safety(n: System, mode: Mode, depth: int,
@@ -497,48 +490,30 @@ def verify_safety(n: System, mode: Mode, depth: int,
     Violations are data, not errors; meaningful when the applicable
     well-formedness held, since the theorems assume it.
     """
+    regime = REGIMES[mode.regime]
+    record = _record(mode, theta)
+    if record is not None:
+        check_record(n, record)
     findings: list[Finding] = []
     for site in n.sites:
         if not is_trustworthy(site):
             continue
         policy = site.membrane.policy
-        if mode.regime == PolicyRegime.SET:
-            for trace in sorted(agent_traces(site.agent, depth)):
-                if not enforces_set(_trace_set_policy(trace), policy):
-                    findings.append(Finding(
-                        site.name, None, trace,
-                        f"trace labels {_trace_set_policy(trace)} escape {policy}"))
-        elif mode.regime == PolicyRegime.MULTISET:
-            if mode.kind == MembraneKind.ENTRY:
-                for i, thread in enumerate(threads(site.agent)):
-                    for trace in sorted(agent_traces(thread, depth)):
-                        if not enforces_multiset(_trace_multiset(trace), policy):
-                            findings.append(Finding(
-                                site.name, i, trace,
-                                f"trace uses {_trace_multiset(trace)}, exceeding {policy}"))
-            else:
-                if mode.kind == MembraneKind.RESIDENT_DYNAMIC:
-                    if theta is None:
-                        raise ValueError("dynamic membranes need a resident record (theta)")
-                    bound = theta[site.name]
-                else:
-                    bound = policy
-                for trace in sorted(agent_traces(site.agent, depth)):
-                    if not enforces_multiset(_trace_multiset(trace), bound):
-                        findings.append(Finding(
-                            site.name, None, trace,
-                            f"trace uses {_trace_multiset(trace)}, exceeding {bound}"))
+        if policy.regime != mode.regime:
+            findings.append(Finding(site.name, None, (),
+                                    f"membrane policy is not a {regime.name} policy"))
+            continue
+        if record is not None:
+            policy = record[site.name]
+        if mode.kind == MembraneKind.ENTRY and regime.thread_wise:
+            units = list(enumerate(threads(site.agent)))
         else:
-            if not isinstance(policy, DfaPolicy):
-                findings.append(Finding(site.name, None, (), "membrane policy is not a DFA policy"))
-                continue
-            dfa = policy.dfa
-            for i, thread in enumerate(threads(site.agent)):
-                for word in sorted(lang_words(cre_of(thread), depth)):
-                    if not any(accepts_from(dfa, s, word) for s in sorted(dfa.states)):
-                        findings.append(Finding(
-                            site.name, i, word,
-                            f"word is a suffix of no word accepted by {policy}"))
+            units = [(None, site.agent)]
+        for i, agent in units:
+            for trace in sorted(regime.traces(agent, depth)):
+                reason = regime.violation(trace, policy)
+                if reason is not None:
+                    findings.append(Finding(site.name, i, trace, reason))
     return Report(tuple(findings))
 
 
@@ -549,6 +524,8 @@ def verify_subject_reduction(n: System, mode: Mode, depth: int,
 
     Any failure would falsify the preservation theorem for the regime, or
     reveal an implementation bug, which is the point of running this.
+    The initial system is judged first, so a bad resident record fails
+    before any exploration.
     """
     findings: list[Finding] = []
     root = normalize_system(n)
@@ -556,12 +533,12 @@ def verify_subject_reduction(n: System, mode: Mode, depth: int,
     queue = deque([(root, ())])
     while queue:
         current, path = queue.popleft()
-        verdict = wellformed(current, mode, theta)
-        if verdict is False:
-            detail = "; ".join(explain_wellformed(current, mode, theta)) or "ill-formed"
+        judgment = judge(current, mode, theta)
+        if judgment.verdict is False:
+            detail = "; ".join(judgment.notes) or "ill-formed"
             findings.append(Finding("<system>", None, path,
                                     f"well-formedness lost after {len(path)} step(s): {detail}"))
-        elif verdict is None:
+        elif judgment.verdict is None:
             findings.append(Finding("<system>", None, path,
                                     "well-formedness inconclusive (bound exceeded)",
                                     inconclusive=True))

@@ -35,7 +35,7 @@ from typing import Mapping
 from . import core
 from .core import (
     Act, Agent, Go, Membrane, NIL, Par, PolicyRegime, Repl, Site, System,
-    TrustLevel, format_agent,
+    TrustLevel,
 )
 from .diagnostics import Diagnostic, SourceSpan, error
 from .policy_dfa import Dfa, DfaPolicy, minimize
@@ -131,7 +131,7 @@ class _Parser:
     # system := site ("||" site)* | nothing
     def system(self) -> System:
         if self.at_end():
-            return core.EMPTY_SYSTEM
+            return System()
         sites = [self.site()]
         while self.peek().text == "||":
             self.next()
@@ -224,25 +224,15 @@ class _Parser:
         if tok.text == "@":
             self.fail(f"DFA policy reference under the {self.regime.value} regime")
         self.expect("{")
-        if self.regime == PolicyRegime.SET:
-            labels = []
-            if self.peek().text != "}":
-                while True:
-                    label = self.ident("a label")
-                    if self.peek().text == "^":
-                        self.fail("occurrence counts are not allowed under the set regime")
-                    labels.append(label.text)
-                    if self.peek().text != ",":
-                        break
-                    self.next()
-            self.expect("}")
-            return SetPolicy.of(labels)
+        is_set = self.regime == PolicyRegime.SET
         counts: dict[str, object] = {}
         if self.peek().text != "}":
             while True:
                 label = self.ident("a label")
                 count: object = 1
                 if self.peek().text == "^":
+                    if is_set:
+                        self.fail("occurrence counts are not allowed under the set regime")
                     self.next()
                     ctok = self.next()
                     if ctok.text == "w":
@@ -251,14 +241,14 @@ class _Parser:
                         count = int(ctok.text)
                     else:
                         self.fail("expected a positive count or 'w' after '^'", ctok)
-                if label.text in counts:
+                if label.text in counts and not is_set:
                     self.fail(f"duplicate label '{label.text}' in multiset literal", label)
                 counts[label.text] = count
                 if self.peek().text != ",":
                     break
                 self.next()
         self.expect("}")
-        return MultisetPolicy.of(counts)
+        return SetPolicy.of(counts) if is_set else MultisetPolicy.of(counts)
 
 
 def _as_regime(regime: PolicyRegime | str) -> PolicyRegime:
@@ -477,7 +467,7 @@ def render(n: System) -> str:
 def _render_site(s: Site) -> str:
     trust = ", ".join(f"{name}: {level.value}" for name, level in s.membrane.trust)
     trust_part = f"trust {{ {trust} }}" if trust else "trust {}"
-    return f"{s.name}[ {trust_part}; policy {s.membrane.policy}; {format_agent(s.agent)} ]"
+    return f"{s.name}[ {trust_part}; policy {s.membrane.policy}; {s.agent} ]"
 
 
 def render_dfa(a: Dfa, name: str | None = None) -> str:

@@ -6,6 +6,9 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
+from membranes import policy_dfa
 from membranes.cli import main
 
 from conftest import DEMOS
@@ -148,3 +151,56 @@ def test_console_script_byte_identical(tmp_path):
     second = subprocess.run(cmd, capture_output=True)
     assert first.returncode == 0
     assert first.stdout == second.stdout and first.stdout
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("verify", "--depth", "-1"),
+    ("run", "--steps", "-5"),
+    ("check", "--bound", "-2"),
+    ("verify", "--bound", "-1"),
+    ("run", "--steps", "many"),
+])
+def test_negative_counts_rejected(command, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(DEMOS / "example1_attack.mem"), "--regime", "set", flag, value])
+    assert exc.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert errors == [f"membranes {command}: error: argument {flag}: "
+                      f"expected a non-negative integer, got '{value}'"]
+
+
+def test_zero_depth_and_bound_stay_valid():
+    code, out, _ = invoke("verify", str(DEMOS / "mail_server.mem"),
+                          "--regime", "multiset", "--depth", "0")
+    assert code == 0 and out.count("SUMMARY ok") == 2
+    code, _, _ = invoke("check", str(DEMOS / "mail_protocol.mem"), "--regime", "dfa",
+                        "--dfa", str(DEMOS / "protocols.dfa"), "--bound", "0")
+    assert code == 0
+
+
+def test_theta_missing_a_trustworthy_site_is_an_input_error(tmp_path):
+    theta = tmp_path / "partial.theta"
+    theta.write_text("client: {licence_serv^3}\n")
+    for command in ("check", "verify"):
+        code, out, err = invoke(command, str(DEMOS / "licence_server.mem"),
+                                "--regime", "multiset", "--membrane", "dynamic",
+                                "--theta", str(theta))
+        assert code == 2
+        assert err == "resident record does not cover trustworthy site 'licence_serv'\n"
+
+
+def test_check_runs_each_dfa_search_once(monkeypatch):
+    searches = []
+    original = policy_dfa._language_included
+
+    def counting(*args):
+        searches.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(policy_dfa, "_language_included", counting)
+    code, _, _ = invoke("check", str(DEMOS / "mail_protocol.mem"),
+                        "--regime", "dfa", "--dfa", str(DEMOS / "protocols.dfa"))
+    assert code == 0
+    # one search for the digest laptop's agent professes, one for the thread
+    # against @any from its start state
+    assert len(searches) == 2

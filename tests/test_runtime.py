@@ -4,17 +4,19 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from membranes import (
     Act, Go, Membrane, MultisetPolicy, NIL, Par, Repl, SetPolicy,
-    Site, System, TrustLevel, allows, agent_traces, lts_step, normalize,
+    Site, System, TrustLevel, allows, agent_traces, infer_policy, lts_step, normalize,
     parse_system, run, step, verify_safety, verify_subject_reduction,
 )
 from membranes.runtime import (
     LocalAction, Migration, Mode, blocked_migrations, wellformed,
 )
 
-from conftest import DEMOS
+from conftest import DEMOS, random_multiset_agent, random_multiset_policy
 
 M = MultisetPolicy.of
 SET_MODE = Mode.of("set")
@@ -433,3 +435,29 @@ def test_report_render_format():
     row = lines[0].split("\t")
     assert row[0] == "l" and row[2] == "send send"
     assert verify_safety(overdrawn, MS_MODE, 0).render() == "SUMMARY ok"
+
+
+def test_resident_record_must_cover_trustworthy_sites():
+    n = parse_system((DEMOS / "licence_server.mem").read_text(), "multiset")
+    partial = {"client": M({"licence_serv": 3})}
+    message = "resident record does not cover trustworthy site 'licence_serv'"
+    with pytest.raises(ValueError, match=message):
+        verify_safety(n, DYN_MODE, 3, partial)
+    with pytest.raises(ValueError, match=message):
+        verify_subject_reduction(n, DYN_MODE, 3, partial)
+    with pytest.raises(ValueError, match=message):
+        wellformed(n, DYN_MODE, partial)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 6), st.sampled_from(["good", "bad", "unknown"]))
+def test_membrane_kinds_agree_on_first_arrival_at_empty_site(seed, size, trust):
+    # With nothing resident, a static membrane adds no usage and a dynamic
+    # one has spent no budget, so both rule like an entry membrane.
+    rng = random.Random(seed)
+    code = random_multiset_agent(rng, size)
+    digest = infer_policy(code) if rng.random() < 0.5 else random_multiset_policy(rng)
+    target = membrane(random_multiset_policy(rng), src=trust)
+    decisions = {kind: allows(target, "src", digest, code, Mode.of("multiset", kind)).decision
+                 for kind in ("entry", "static", "dynamic")}
+    assert len(set(decisions.values())) == 1, decisions
