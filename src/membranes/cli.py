@@ -181,6 +181,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return INPUT_ERROR
+    except RecursionError:
+        # The parser bounds nesting, but a few judgments still recurse once
+        # per nesting level and may run out of stack just below that bound.
+        print("agent too deeply nested to process", file=sys.stderr)
+        return INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ the site enforces on incoming agents.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, runtime_checkable
 
 from .diagnostics import Diagnostic, error
@@ -53,70 +53,132 @@ def trust_below(a: TrustLevel, b: TrustLevel) -> bool:
 # ---------------------------------------------------------------------------
 # Agents
 
+_set = object.__setattr__
 
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Agent:
-    """Base class for agent syntax nodes. All nodes are immutable and hashable."""
+    """Base class for agent syntax nodes. All nodes are immutable and hashable.
+
+    Besides its fields, every node has three caches, filled lazily and
+    never changed once set: its structural key (`agent_key`), its hash,
+    and its normal form (`normalize`; a node in normal form points at
+    itself). Each is a function of the node's structure alone, so nodes
+    stay values and are safe to share. The walks that fill the caches,
+    equality and rendering all use explicit stacks, so a deep agent costs
+    no Python recursion.
+    """
+
+    _key: tuple | None = field(default=None, init=False, repr=False)
+    _hash: int | None = field(default=None, init=False, repr=False)
+    _norm: Agent | None = field(default=None, init=False, repr=False)
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return _same(self, other)
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            _fill_keys(self)
+        return self._hash
+
+    def __str__(self) -> str:
+        return _render(self)
+
+
+class Nil(Agent):
+    """The inert agent; there is one instance, NIL."""
 
     __slots__ = ()
 
+    def __new__(cls):
+        return NIL
 
-@dataclass(frozen=True)
-class Nil(Agent):
-    def __str__(self) -> str:
-        return "nil"
-
-
-NIL = Nil()
+    def __init__(self):
+        pass
 
 
-@dataclass(frozen=True)
+NIL = object.__new__(Nil)
+_set(NIL, "_key", ("nil",))
+_set(NIL, "_hash", hash(("nil",)))
+_set(NIL, "_norm", NIL)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Act(Agent):
     action: str
     cont: Agent
 
-    def __str__(self) -> str:
-        return f"{self.action}.{_prefixed(self.cont)}"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Go(Agent):
     target: str
     digest: Policy
     cont: Agent
 
-    def __str__(self) -> str:
-        return f"go({self.target}, {self.digest}).{_prefixed(self.cont)}"
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Par(Agent):
     left: Agent
     right: Agent
 
-    def __str__(self) -> str:
-        parts = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Par):
-                stack.append(node.right)
-                stack.append(node.left)
-            else:
-                parts.append(str(node))
-        return " | ".join(parts)
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Repl(Agent):
     body: Agent
 
-    def __str__(self) -> str:
-        return f"!{_prefixed(self.body)}"
+
+def _render(a: Agent) -> str:
+    """Concrete syntax. Par binds looser than prefixing and replication, so
+    it is parenthesised under them; parallel threads print flat."""
+    out: list[str] = []
+    stack: list[Agent | str] = [a]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+            continue
+        if isinstance(node, Par):
+            leaves = _leaves(node)
+            for i in range(len(leaves) - 1, 0, -1):
+                stack.append(leaves[i])
+                stack.append(" | ")
+            stack.append(leaves[0])
+            continue
+        if isinstance(node, Act):
+            out.append(f"{node.action}.")
+            inner = node.cont
+        elif isinstance(node, Go):
+            out.append(f"go({node.target}, {node.digest}).")
+            inner = node.cont
+        elif isinstance(node, Repl):
+            out.append("!")
+            inner = node.body
+        else:
+            out.append("nil")
+            continue
+        if isinstance(inner, Par):
+            stack.extend((")", inner, "("))
+        else:
+            stack.append(inner)
+    return "".join(out)
 
 
-def _prefixed(a: Agent) -> str:
-    # Par binds looser than prefixing and replication, so it needs parens there.
-    return f"({a})" if isinstance(a, Par) else str(a)
+def _leaves(a: Agent) -> list[Agent]:
+    """The non-Par nodes of a's Par tree, left to right."""
+    out = []
+    stack = [a]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Par):
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            out.append(node)
+    return out
 
 
 def par(*agents: Agent) -> Agent:
@@ -129,19 +191,82 @@ def par(*agents: Agent) -> Agent:
     return out
 
 
+def _fill_keys(a: Agent) -> None:
+    """Cache the structural key and the hash of a and of every node below
+    it that lacks them, children first. The hash combines the children's
+    cached hashes, so no deep tuple is ever hashed."""
+    stack = [a]
+    while stack:
+        node = stack[-1]
+        if node._key is not None:
+            stack.pop()
+            continue
+        if isinstance(node, Par):
+            left, right = node.left, node.right
+            if left._key is None or right._key is None:
+                stack.append(left)
+                stack.append(right)
+                continue
+            key = ("par", left._key, right._key)
+            h = hash(("par", left._hash, right._hash))
+        elif isinstance(node, (Act, Go, Repl)):
+            child = node.body if isinstance(node, Repl) else node.cont
+            if child._key is None:
+                stack.append(child)
+                continue
+            if isinstance(node, Act):
+                key = ("act", node.action, child._key)
+                h = hash(("act", node.action, child._hash))
+            elif isinstance(node, Go):
+                key = ("go", node.target, node.digest.sort_key(), child._key)
+                h = hash(("go", node.target, node.digest, child._hash))
+            else:
+                key = ("repl", child._key)
+                h = hash(("repl", child._hash))
+        else:
+            raise TypeError(f"not an agent: {node!r}")
+        stack.pop()
+        _set(node, "_key", key)
+        _set(node, "_hash", h)
+
+
+def _same(a: Agent, b: Agent) -> bool:
+    """Structural equality, pairwise down both trees; unequal hashes
+    settle most pairs at once."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y) or hash(x) != hash(y):
+            return False
+        if isinstance(x, Par):
+            stack.append((x.right, y.right))
+            stack.append((x.left, y.left))
+        elif isinstance(x, Act):
+            if x.action != y.action:
+                return False
+            stack.append((x.cont, y.cont))
+        elif isinstance(x, Go):
+            if x.target != y.target or x.digest != y.digest:
+                return False
+            stack.append((x.cont, y.cont))
+        elif isinstance(x, Repl):
+            stack.append((x.body, y.body))
+    return True
+
+
 def agent_key(a: Agent) -> tuple:
-    """Stable structural sort key; injective on agents (given injective policy keys)."""
-    if isinstance(a, Nil):
-        return ("nil",)
-    if isinstance(a, Act):
-        return ("act", a.action, agent_key(a.cont))
-    if isinstance(a, Go):
-        return ("go", a.target, a.digest.sort_key(), agent_key(a.cont))
-    if isinstance(a, Repl):
-        return ("repl", agent_key(a.body))
-    if isinstance(a, Par):
-        return ("par", agent_key(a.left), agent_key(a.right))
-    raise TypeError(f"not an agent: {a!r}")
+    """Stable structural sort key; injective on agents (given injective policy keys).
+
+    Computed once per node and cached on it; a node's key shares its
+    children's keys.
+    """
+    if not isinstance(a, Agent):
+        raise TypeError(f"not an agent: {a!r}")
+    if a._key is None:
+        _fill_keys(a)
+    return a._key
 
 
 def normalize(a: Agent) -> Agent:
@@ -152,30 +277,119 @@ def normalize(a: Agent) -> Agent:
     replication. Replication is never unfolded here: the unfolding law
     would not terminate, so the runtime applies it lazily, one copy at a
     time, where a reduction rule needs it.
+
+    The result is cached on every node the walk visits, and a node
+    already in normal form is its own result, so normalizing a normal
+    form, or an agent built around normal parts, costs only the new
+    nodes.
     """
-    if isinstance(a, Nil):
+    if not isinstance(a, Agent):
+        raise TypeError(f"not an agent: {a!r}")
+    if a._norm is not None:
+        return a._norm
+    stack = [a]
+    while stack:
+        node = stack[-1]
+        if node._norm is not None:
+            stack.pop()
+            continue
+        if isinstance(node, Par):
+            leaves = _leaves(node)
+            pending = [t for t in leaves if t._norm is None]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            _set(node, "_norm", _normal_par(node, leaves))
+            continue
+        if isinstance(node, (Act, Go)):
+            child = node.cont
+        elif isinstance(node, Repl):
+            child = node.body
+        else:
+            raise TypeError(f"not an agent: {node!r}")
+        if child._norm is None:
+            stack.append(child)
+            continue
+        stack.pop()
+        norm = child._norm
+        if norm is child:
+            out = node
+        elif isinstance(node, Act):
+            out = Act(node.action, norm)
+        elif isinstance(node, Go):
+            out = Go(node.target, node.digest, norm)
+        else:
+            out = Repl(norm)
+        _set(out, "_norm", out)
+        if out is not node:
+            _set(node, "_norm", out)
+    return a._norm
+
+
+def _normal_par(node: Par, leaves: list[Agent]) -> Agent:
+    """The normal form of a Par tree whose leaves are all normalized. It
+    keeps the longest tail of the node's own right spine that is already
+    in place, so a node already in normal form is its own result."""
+    parts = [t._norm for t in leaves if t._norm is not NIL]
+    parts.sort(key=agent_key)
+    threads, nodes = _spine(node)
+    if isinstance(nodes[-1], Par):  # the spine ends in nil: no tail is in place
+        threads = nodes = []
+    return _respine(parts, threads, nodes)
+
+
+def _spine(a: Agent) -> tuple[list[Agent], list[Agent]]:
+    """The threads of a normal agent, and for each j the node that holds
+    threads j and after: a Par of the spine, or the last thread itself."""
+    threads, nodes = [], []
+    while isinstance(a, Par):
+        nodes.append(a)
+        threads.append(a.left)
+        a = a.right
+    if a is not NIL:
+        nodes.append(a)
+        threads.append(a)
+    return threads, nodes
+
+
+def splice(a: Agent, remove: int | None, extra: list[Agent],
+           spine: tuple[list[Agent], list[Agent]] | None = None) -> Agent:
+    """The normal form of the normal agent `a` with its thread number
+    `remove` taken out (none when None) and the normal threads `extra`
+    put in. The result shares the Par nodes of a's unchanged tail;
+    `spine` may pass `_spine(a)` when the caller already has it.
+    """
+    threads, nodes = spine or _spine(a)
+    parts = list(threads) if remove is None else threads[:remove] + threads[remove + 1:]
+    parts.extend(extra)
+    parts.sort(key=agent_key)
+    return _respine(parts, threads, nodes)
+
+
+def _respine(parts: list[Agent], threads: list[Agent], nodes: list[Agent]) -> Agent:
+    """The normal form whose threads are `parts` (normal, sorted), built
+    on the longest tail it has in common with the spine `threads`/`nodes`
+    (as from `_spine`). Every Par of the result is marked normal."""
+    m, k = len(parts), len(threads)
+    while m and k and parts[m - 1] is threads[k - 1]:
+        m -= 1
+        k -= 1
+    if k < len(threads):
+        out = nodes[k]
+        tail = out
+        while isinstance(tail, Par) and tail._norm is not tail:
+            _set(tail, "_norm", tail)
+            tail = tail.right
+    elif m:
+        m -= 1
+        out = parts[m]
+    else:
         return NIL
-    if isinstance(a, Act):
-        return Act(a.action, normalize(a.cont))
-    if isinstance(a, Go):
-        return Go(a.target, a.digest, normalize(a.cont))
-    if isinstance(a, Repl):
-        return Repl(normalize(a.body))
-    if isinstance(a, Par):
-        parts: list[Agent] = []
-        stack = [a.right, a.left]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Par):
-                stack.append(node.right)
-                stack.append(node.left)
-            else:
-                norm = normalize(node)
-                if not isinstance(norm, Nil):
-                    parts.append(norm)
-        parts.sort(key=agent_key)
-        return par(*parts)
-    raise TypeError(f"not an agent: {a!r}")
+    for thread in reversed(parts[:m]):
+        out = Par(thread, out)
+        _set(out, "_norm", out)
+    return out
 
 
 def threads(a: Agent) -> list[Agent]:
@@ -184,15 +398,7 @@ def threads(a: Agent) -> list[Agent]:
     nil has zero threads, so an empty site vacuously passes any
     thread-wise well-formedness check.
     """
-    norm = normalize(a)
-    if isinstance(norm, Nil):
-        return []
-    out = []
-    while isinstance(norm, Par):
-        out.append(norm.left)
-        norm = norm.right
-    out.append(norm)
-    return out
+    return _spine(normalize(a))[0]
 
 
 def subagents(a: Agent) -> Iterator[Agent]:
@@ -216,17 +422,20 @@ def subagents(a: Agent) -> Iterator[Agent]:
 # Membranes and systems
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Membrane:
     """A site's guard layer: trust knowledge about other sites plus one policy.
 
     The trust map is partial; looking up an unmapped site yields LOC (the
     stored knowledge stays faithful; the security downgrade of unknown
     sites to untrusted happens in the admission predicate, not here).
+    The sort key and the hash are cached on first use.
     """
 
     trust: tuple[tuple[str, TrustLevel], ...]
     policy: Policy
+    _key: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, trust: Mapping[str, TrustLevel], policy: Policy) -> "Membrane":
@@ -242,25 +451,43 @@ class Membrane:
         return Membrane(self.trust, policy)
 
     def sort_key(self) -> tuple:
-        return (tuple((n, l.value) for n, l in self.trust), self.policy.sort_key())
+        if self._key is None:
+            _set(self, "_key", (tuple((n, l.value) for n, l in self.trust), self.policy.sort_key()))
+        return self._key
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            _set(self, "_hash", hash((self.trust, self.policy)))
+        return self._hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Site:
     name: str
     membrane: Membrane
     agent: Agent
+    _key: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def key(self) -> tuple:
+        """This site's entry in `system_key`, cached."""
+        if self._key is None:
+            key = (self.name, self.membrane.sort_key(), agent_key(normalize(self.agent)))
+            _set(self, "_key", key)
+        return self._key
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class System:
     """An ordered map from site names to (membrane, agent) pairs.
 
     Construction tolerates duplicate names so that validate_system can
-    report them as diagnostics instead of refusing to build the value.
+    report them as diagnostics instead of refusing to build the value;
+    lookups by name find the first site of that name.
     """
 
     sites: tuple[Site, ...] = ()
+    _key: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _index: dict[str, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, *sites: Site) -> "System":
@@ -272,33 +499,54 @@ class System:
     def __len__(self) -> int:
         return len(self.sites)
 
+    def index(self, name: str) -> int | None:
+        """Position of the first site called `name`, or None."""
+        if self._index is None:
+            index: dict[str, int] = {}
+            for i, s in enumerate(self.sites):
+                index.setdefault(s.name, i)
+            _set(self, "_index", index)
+        return self._index.get(name)
+
     def get(self, name: str) -> Site | None:
-        for s in self.sites:
-            if s.name == name:
-                return s
-        return None
+        i = self.index(name)
+        return None if i is None else self.sites[i]
 
     def replace(self, name: str, membrane: Membrane | None = None, agent: Agent | None = None) -> "System":
         """A copy with the first site called `name` updated."""
-        out = []
-        done = False
-        for s in self.sites:
-            if not done and s.name == name:
-                out.append(Site(name, membrane or s.membrane, agent if agent is not None else s.agent))
-                done = True
-            else:
-                out.append(s)
-        if not done:
+        i = self.index(name)
+        if i is None:
             raise KeyError(name)
-        return System(tuple(out))
+        s = self.sites[i]
+        agent = agent if agent is not None else s.agent
+        return self.with_sites({i: Site(name, membrane or s.membrane, agent)})
+
+    def with_sites(self, changes: Mapping[int, Site]) -> "System":
+        """A copy with the sites at the given positions replaced; every
+        other Site object, with its cached key entry, is shared. The copy
+        shares the name index too when no name changes."""
+        sites = list(self.sites)
+        for i, s in changes.items():
+            sites[i] = s
+        out = System(tuple(sites))
+        if all(s.name == self.sites[i].name for i, s in changes.items()):
+            _set(out, "_index", self._index)
+        return out
 
 
 def normalize_system(n: System) -> System:
-    return System(tuple(Site(s.name, s.membrane, normalize(s.agent)) for s in n.sites))
+    """Every site's agent normalized; the system itself when all already are."""
+    changes = {i: Site(s.name, s.membrane, normalize(s.agent))
+               for i, s in enumerate(n.sites) if normalize(s.agent) is not s.agent}
+    return n.with_sites(changes) if changes else n
 
 
 def system_key(n: System) -> tuple:
-    return tuple((s.name, s.membrane.sort_key(), agent_key(normalize(s.agent))) for s in n.sites)
+    """Structural key of the system up to normalization: one entry per
+    site, each cached on its Site; the tuple is cached on the System."""
+    if n._key is None:
+        _set(n, "_key", tuple([s.key() for s in n.sites]))
+    return n._key
 
 
 def is_trustworthy(site: Site) -> bool:

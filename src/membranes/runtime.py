@@ -21,9 +21,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 from .core import (
-    Act, Agent, Go, Judgment, Membrane, NIL, Nil, Par, Policy, PolicyRegime,
-    Repl, System, TrustLevel, agent_key, is_trustworthy, normalize,
-    normalize_system, system_key, threads, validate_system,
+    Act, Agent, Go, Judgment, Membrane, NIL, Par, Policy, PolicyRegime, Repl,
+    Site, System, TrustLevel, _spine, agent_key, is_trustworthy,
+    normalize, normalize_system, splice, system_key, threads, validate_system,
 )
 from .policy_dfa import (
     DEFAULT_BOUND, DfaCheck, accepts_from, cre_of, enforces_dfa, judge_dfa,
@@ -256,34 +256,72 @@ def allows(membrane: Membrane, source: str, digest: Policy, code: Agent,
 
 
 def _redexes(a: Agent) -> list[tuple[str, Policy | None, Agent | None, Agent]]:
-    """All immediate redexes of an agent, as (label, digest, moving,
+    """All immediate redexes of a normal agent, as (label, digest, moving,
     residual): an action has its name as label and no digest or moving
     code; a migration has its target as label, its digest, and the code
     that moves. The residual is what stays at the site when the redex
-    fires. Replication is unfolded lazily: redexes of the body appear
-    once, with the replica preserved in the residual.
+    fires, in normal form: the other threads plus what is left of the one
+    that fired. Redexes come thread by thread, in order; a thread equal to
+    the one before it adds none, since its redexes would only repeat that
+    thread's.
     """
-    if isinstance(a, Nil):
-        return []
-    if isinstance(a, Act):
-        return [(a.action, None, None, a.cont)]
-    if isinstance(a, Go):
-        return [(a.target, a.digest, a.cont, NIL)]
-    if isinstance(a, Par):
-        return ([(l, d, m, Par(r, a.right)) for l, d, m, r in _redexes(a.left)]
-                + [(l, d, m, Par(a.left, r)) for l, d, m, r in _redexes(a.right)])
-    if isinstance(a, Repl):
-        return [(l, d, m, Par(r, a)) for l, d, m, r in _redexes(a.body)]
-    raise TypeError(f"not an agent: {a!r}")
+    spine = _spine(a)
+    out = []
+    for i, thread in enumerate(spine[0]):
+        if i and thread == spine[0][i - 1]:
+            continue
+        out.extend((label, digest, moving, splice(a, i, beside, spine))
+                   for label, digest, moving, beside in _thread_redexes(thread))
+    return out
 
 
-def _moves(n: System, mode: Mode):
+def _thread_redexes(thread: Agent) -> list[tuple[str, Policy | None, Agent | None, list[Agent]]]:
+    """The redexes of one normal thread, as (label, digest, moving,
+    beside), where `beside` lists the threads that take its place when the
+    redex fires (every part of a normal thread is normal). Replication is
+    unfolded lazily: redexes of the body appear once, with the replica
+    kept beside them.
+    """
+    out = []
+    stack: list[tuple[Agent, list[Agent]]] = [(thread, [])]
+    while stack:
+        node, beside = stack.pop()
+        if isinstance(node, Act):
+            out.append((node.action, None, None, beside + _spine(node.cont)[0]))
+        elif isinstance(node, Go):
+            out.append((node.target, node.digest, node.cont, beside))
+        elif isinstance(node, Repl):
+            inner = _spine(node.body)[0]
+            for j in range(len(inner) - 1, -1, -1):
+                if not (j and inner[j] == inner[j - 1]):
+                    stack.append((inner[j], beside + inner[:j] + inner[j + 1:] + [node]))
+        else:
+            raise TypeError(f"not an agent: {node!r}")
+    return out
+
+
+def _verdict(target: Site, source: str, digest: Policy, moving: Agent, mode: Mode,
+             verdicts: dict) -> Admission:
+    """The target membrane's verdict on a migration, reused from `verdicts`
+    when everything `allows` reads is unchanged (mode is fixed per call)."""
+    key = (target.membrane, source, digest, moving)
+    if mode.kind == MembraneKind.RESIDENT_STATIC:
+        key += (target.agent,)
+    verdict = verdicts.get(key)
+    if verdict is None:
+        verdict = verdicts[key] = allows(target.membrane, source, digest, moving, mode,
+                                         resident=target.agent)
+    return verdict
+
+
+def _moves(n: System, mode: Mode, verdicts: dict):
     """Every redex at every site, with the membrane's verdict on migrations
     (None for local actions): (site, redex, verdict). A migration to its
     own site or to a missing one is denied without asking any membrane.
+    Verdicts are reused through the memo `verdicts`.
     """
     for site in n.sites:
-        for redex in _redexes(site.agent):
+        for redex in _redexes(normalize(site.agent)):
             label, digest, moving, _ = redex
             if digest is None:
                 yield site, redex, None
@@ -294,37 +332,57 @@ def _moves(n: System, mode: Mode):
                 if target is None:
                     yield site, redex, _deny(f"no site named '{label}'")
                 else:
-                    yield site, redex, allows(target.membrane, site.name, digest, moving,
-                                              mode, resident=target.agent)
+                    yield site, redex, _verdict(target, site.name, digest, moving, mode, verdicts)
 
 
-def step(n: System, mode: Mode) -> list[tuple[System, Event]]:
+def step(n: System, mode: Mode, verdicts: dict | None = None) -> list[tuple[System, Event]]:
     """All distinct one-step successors of the system, with their events.
 
     Distinctness is up to structural equivalence (normalized forms).
     Denied migrations contribute no successor; the rule's side condition
     is simply false; `run` reports them once the system is stuck.
+
+    Successors come in the order of (event, system key). Only the one or
+    two sites a redex changes are built; every other Site object is
+    shared with the (normalized) input. Two successors with the same
+    event changed the same sites, so they are told apart, and ordered, by
+    the entries of those sites alone, and only when their events tie.
+    `verdicts`, when given, is a memo of admission verdicts that the
+    caller keeps across calls; without it the memo lives for this call.
     """
-    out: dict[tuple, tuple[System, Event]] = {}
-    for site, (label, digest, moving, residual), verdict in _moves(n, mode):
+    n = normalize_system(n)
+    by_event: dict[tuple, list[tuple[dict[int, Site], Event]]] = {}
+    moves = _moves(n, mode, {} if verdicts is None else verdicts)
+    for site, (label, digest, moving, residual), verdict in moves:
         if verdict is not None and not verdict.admitted:
             continue
-        moved = n.replace(site.name, agent=residual)
+        i = n.index(site.name)
+        changes = {i: Site(site.name, n.sites[i].membrane, residual)}
         if verdict is None:
             event: Event = LocalAction(site.name, label)
         else:
-            moved = moved.replace(label, membrane=verdict.membrane,
-                                  agent=Par(moving, n.get(label).agent))
+            j = n.index(label)
+            arrived = splice(n.sites[j].agent, None, _spine(moving)[0])
+            changes[j] = Site(label, verdict.membrane, arrived)
             event = Migration(site.name, label, digest, True, verdict.reason)
-        succ = normalize_system(moved)
-        out.setdefault((_event_key(event), system_key(succ)), (succ, event))
-    return [out[k] for k in sorted(out)]
+        by_event.setdefault(_event_key(event), []).append((changes, event))
+    out = []
+    for event_key in sorted(by_event):
+        tied = by_event[event_key]
+        if len(tied) > 1:
+            distinct: dict[tuple, tuple[dict[int, Site], Event]] = {}
+            for changes, event in tied:
+                key = tuple(changes[k].key() for k in sorted(changes))
+                distinct.setdefault(key, (changes, event))
+            tied = [distinct[k] for k in sorted(distinct)]
+        out.extend((n.with_sites(changes), event) for changes, event in tied)
+    return out
 
 
-def blocked_migrations(n: System, mode: Mode) -> list[Migration]:
+def blocked_migrations(n: System, mode: Mode, verdicts: dict | None = None) -> list[Migration]:
     """Every migration redex that cannot fire right now, as non-admitted events."""
     out: dict[tuple, Migration] = {}
-    for site, (label, digest, _, _), verdict in _moves(n, mode):
+    for site, (label, digest, _, _), verdict in _moves(n, mode, {} if verdicts is None else verdicts):
         if verdict is not None and not verdict.admitted:
             event = Migration(site.name, label, digest, False, verdict.reason)
             out.setdefault(_event_key(event), event)
@@ -337,24 +395,26 @@ def run(n: System, mode: Mode, max_steps: int, seed: int) -> tuple[list[Event], 
     Successors are picked uniformly at random; identical inputs give
     identical traces. When the system quiesces, any migrations still
     pending are appended as denial events, so permanently stuck agents
-    show up in the trace.
+    show up in the trace. Each distinct pending migration is judged once
+    per call: a verdict is reused while its inputs are unchanged.
     """
     problems = validate_system(n, mode.regime)
     if problems:
         raise ValueError("invalid system: " + "; ".join(d.message for d in problems))
     rng = random.Random(seed)
     events: list[Event] = []
+    verdicts: dict = {}
     current = normalize_system(n)
     for i in range(max_steps):
-        successors = step(current, mode)
+        successors = step(current, mode, verdicts)
         if not successors:
             break
         current, event = successors[rng.randrange(len(successors))]
         events.append(replace(event, step=i))
     else:
-        successors = step(current, mode)
+        successors = step(current, mode, verdicts)
     if not successors:
-        for blocked in blocked_migrations(current, mode):
+        for blocked in blocked_migrations(current, mode, verdicts):
             events.append(replace(blocked, step=len(events)))
     return events, current
 
@@ -370,7 +430,7 @@ def lts_step(p: Agent) -> list[tuple[str, Agent]]:
     Residuals are normalized and the list deduplicated.
     """
     out: dict[tuple, tuple[str, Agent]] = {}
-    for label, _, _, residual in _redexes(p):
+    for label, _, _, residual in _redexes(normalize(p)):
         norm = normalize(residual)
         out.setdefault((label, agent_key(norm)), (label, norm))
     return [out[k] for k in sorted(out)]
@@ -528,6 +588,7 @@ def verify_subject_reduction(n: System, mode: Mode, depth: int,
     before any exploration.
     """
     findings: list[Finding] = []
+    verdicts: dict = {}
     root = normalize_system(n)
     seen = {system_key(root)}
     queue = deque([(root, ())])
@@ -544,7 +605,7 @@ def verify_subject_reduction(n: System, mode: Mode, depth: int,
                                     inconclusive=True))
         if len(path) >= depth:
             continue
-        for succ, event in step(current, mode):
+        for succ, event in step(current, mode, verdicts):
             key = system_key(succ)
             if key not in seen:
                 seen.add(key)

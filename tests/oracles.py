@@ -2,18 +2,27 @@
 
 Each oracle recomputes a judgment along a different route than the code
 under test: conformance by exhaustive derivation search over the typing
-rules, shuffle-language membership by direct recursive interleaving, and
-DFA inclusion by joint simulation over strings.
+rules, shuffle-language membership by direct recursive interleaving, DFA
+inclusion by joint simulation over strings, and reduction by the
+straightforward engine that rebuilds and re-keys every site of every
+successor.
 """
 from __future__ import annotations
 
 import itertools
+import random
+from dataclasses import replace
 from functools import lru_cache
 
 from membranes import (
-    Act, Agent, Dfa, Go, MultisetPolicy, Nil, OMEGA, Par, Repl,
+    Act, Agent, Dfa, Go, MultisetPolicy, NIL, Nil, OMEGA, Par, Repl, Site,
+    System, par, validate_system,
 )
+from membranes.core import Policy
 from membranes.policy_dfa import Cre, Eps, Seq, Shuffle, ShuffleClosure, Sym
+from membranes.runtime import (
+    Event, LocalAction, Migration, Mode, _deny, _event_key, allows,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -179,3 +188,171 @@ def words_up_to(a: Dfa, max_len: int) -> set[tuple[str, ...]]:
             if _accepts(a, word):
                 out.add(word)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The reduction engine before node caches and touched-site successors:
+# normalize, agent_key, system_key, step and run as they were, recursive
+# and uncached, re-normalizing and re-keying every site of every
+# successor. Admission (`allows`) and the event records are the library's.
+
+
+def agent_key(a: Agent) -> tuple:
+    """Stable structural sort key; injective on agents (given injective policy keys)."""
+    if isinstance(a, Nil):
+        return ("nil",)
+    if isinstance(a, Act):
+        return ("act", a.action, agent_key(a.cont))
+    if isinstance(a, Go):
+        return ("go", a.target, a.digest.sort_key(), agent_key(a.cont))
+    if isinstance(a, Repl):
+        return ("repl", agent_key(a.body))
+    if isinstance(a, Par):
+        return ("par", agent_key(a.left), agent_key(a.right))
+    raise TypeError(f"not an agent: {a!r}")
+
+
+def normalize(a: Agent) -> Agent:
+    """Canonical form under the parallel monoid laws and nil absorption.
+
+    Parallel compositions are flattened, nil threads dropped, and threads
+    ordered by their structural key, recursively under prefixes and
+    replication. Replication is never unfolded here: the unfolding law
+    would not terminate, so the runtime applies it lazily, one copy at a
+    time, where a reduction rule needs it.
+    """
+    if isinstance(a, Nil):
+        return NIL
+    if isinstance(a, Act):
+        return Act(a.action, normalize(a.cont))
+    if isinstance(a, Go):
+        return Go(a.target, a.digest, normalize(a.cont))
+    if isinstance(a, Repl):
+        return Repl(normalize(a.body))
+    if isinstance(a, Par):
+        parts: list[Agent] = []
+        stack = [a.right, a.left]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Par):
+                stack.append(node.right)
+                stack.append(node.left)
+            else:
+                norm = normalize(node)
+                if not isinstance(norm, Nil):
+                    parts.append(norm)
+        parts.sort(key=agent_key)
+        return par(*parts)
+    raise TypeError(f"not an agent: {a!r}")
+
+
+def normalize_system(n: System) -> System:
+    return System(tuple(Site(s.name, s.membrane, normalize(s.agent)) for s in n.sites))
+
+
+def system_key(n: System) -> tuple:
+    return tuple((s.name, s.membrane.sort_key(), agent_key(normalize(s.agent))) for s in n.sites)
+
+
+def _redexes(a: Agent) -> list[tuple[str, Policy | None, Agent | None, Agent]]:
+    """All immediate redexes of an agent, as (label, digest, moving,
+    residual): an action has its name as label and no digest or moving
+    code; a migration has its target as label, its digest, and the code
+    that moves. The residual is what stays at the site when the redex
+    fires. Replication is unfolded lazily: redexes of the body appear
+    once, with the replica preserved in the residual.
+    """
+    if isinstance(a, Nil):
+        return []
+    if isinstance(a, Act):
+        return [(a.action, None, None, a.cont)]
+    if isinstance(a, Go):
+        return [(a.target, a.digest, a.cont, NIL)]
+    if isinstance(a, Par):
+        return ([(l, d, m, Par(r, a.right)) for l, d, m, r in _redexes(a.left)]
+                + [(l, d, m, Par(a.left, r)) for l, d, m, r in _redexes(a.right)])
+    if isinstance(a, Repl):
+        return [(l, d, m, Par(r, a)) for l, d, m, r in _redexes(a.body)]
+    raise TypeError(f"not an agent: {a!r}")
+
+
+def _moves(n: System, mode: Mode):
+    """Every redex at every site, with the membrane's verdict on migrations
+    (None for local actions): (site, redex, verdict). A migration to its
+    own site or to a missing one is denied without asking any membrane.
+    """
+    for site in n.sites:
+        for redex in _redexes(site.agent):
+            label, digest, moving, _ = redex
+            if digest is None:
+                yield site, redex, None
+            elif label == site.name:
+                yield site, redex, _deny("cannot migrate to the current site")
+            else:
+                target = n.get(label)
+                if target is None:
+                    yield site, redex, _deny(f"no site named '{label}'")
+                else:
+                    yield site, redex, allows(target.membrane, site.name, digest, moving,
+                                              mode, resident=target.agent)
+
+
+def step(n: System, mode: Mode) -> list[tuple[System, Event]]:
+    """All distinct one-step successors of the system, with their events.
+
+    Distinctness is up to structural equivalence (normalized forms).
+    Denied migrations contribute no successor; the rule's side condition
+    is simply false; `run` reports them once the system is stuck.
+    """
+    out: dict[tuple, tuple[System, Event]] = {}
+    for site, (label, digest, moving, residual), verdict in _moves(n, mode):
+        if verdict is not None and not verdict.admitted:
+            continue
+        moved = n.replace(site.name, agent=residual)
+        if verdict is None:
+            event: Event = LocalAction(site.name, label)
+        else:
+            moved = moved.replace(label, membrane=verdict.membrane,
+                                  agent=Par(moving, n.get(label).agent))
+            event = Migration(site.name, label, digest, True, verdict.reason)
+        succ = normalize_system(moved)
+        out.setdefault((_event_key(event), system_key(succ)), (succ, event))
+    return [out[k] for k in sorted(out)]
+
+
+def blocked_migrations(n: System, mode: Mode) -> list[Migration]:
+    """Every migration redex that cannot fire right now, as non-admitted events."""
+    out: dict[tuple, Migration] = {}
+    for site, (label, digest, _, _), verdict in _moves(n, mode):
+        if verdict is not None and not verdict.admitted:
+            event = Migration(site.name, label, digest, False, verdict.reason)
+            out.setdefault(_event_key(event), event)
+    return [out[k] for k in sorted(out)]
+
+
+def run(n: System, mode: Mode, max_steps: int, seed: int) -> tuple[list[Event], System]:
+    """Reduce the system with a seeded scheduler until quiescent or out of steps.
+
+    Successors are picked uniformly at random; identical inputs give
+    identical traces. When the system quiesces, any migrations still
+    pending are appended as denial events, so permanently stuck agents
+    show up in the trace.
+    """
+    problems = validate_system(n, mode.regime)
+    if problems:
+        raise ValueError("invalid system: " + "; ".join(d.message for d in problems))
+    rng = random.Random(seed)
+    events: list[Event] = []
+    current = normalize_system(n)
+    for i in range(max_steps):
+        successors = step(current, mode)
+        if not successors:
+            break
+        current, event = successors[rng.randrange(len(successors))]
+        events.append(replace(event, step=i))
+    else:
+        successors = step(current, mode)
+    if not successors:
+        for blocked in blocked_migrations(current, mode):
+            events.append(replace(blocked, step=len(events)))
+    return events, current

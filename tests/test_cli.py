@@ -204,3 +204,50 @@ def test_check_runs_each_dfa_search_once(monkeypatch):
     # one search for the digest laptop's agent professes, one for the thread
     # against @any from its start state
     assert len(searches) == 2
+
+
+CHAINS = {
+    "act": lambda n: "a." * n + "nil",
+    "go": lambda n: "go(t, {a})." * n + "nil",
+    "repl": lambda n: "!" * n + "a.nil",
+}
+
+
+def _deepest_chain(tmp_path, kind):
+    """The file holding the deepest chain of this kind that `check` parses."""
+    path = tmp_path / f"{kind}.mem"
+
+    def write(n):
+        path.write_text(f"s[ trust {{ s: good }}; policy {{a, t}}; {CHAINS[kind](n)} ]\n"
+                        f"|| t[ trust {{ t: good }}; policy {{a, t}}; nil ]\n")
+
+    lo, hi = 1, 4000
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        write(mid)
+        _, _, err = invoke("check", str(path))
+        if "input too deeply nested" in err:
+            hi = mid - 1
+        else:
+            lo = mid
+    write(lo)
+    assert lo > 500
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["act", "go"])
+def test_deepest_prefix_chain_ends_in_verdict(tmp_path, kind):
+    path = _deepest_chain(tmp_path, kind)
+    for argv in (["check", path], ["run", path], ["verify", path, "--depth", "2"]):
+        code, out, err = invoke(*argv)
+        assert code in (0, 1) and out, (argv, err)
+
+
+def test_deepest_replication_chain_ends_in_verdict(tmp_path):
+    # Unfolding a replication chain n deep spawns n nested replicas, and
+    # ordering them compares keys n deep, so only the checks that unfold
+    # nothing run here.
+    path = _deepest_chain(tmp_path, "repl")
+    for argv in (["check", path], ["verify", path, "--depth", "0"]):
+        code, out, err = invoke(*argv)
+        assert code in (0, 1) and out, (argv, err)
