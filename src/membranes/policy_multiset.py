@@ -5,8 +5,9 @@ of two. Includes the minimal-policy inference used by resident membranes.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Mapping
+from typing import ClassVar, Iterable
 
 from .core import (
     Act, Agent, Go, Judgment, Nil, Par, PolicyRegime, Repl, System,

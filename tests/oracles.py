@@ -3,14 +3,16 @@
 Each oracle recomputes a judgment along a different route than the code
 under test: conformance by exhaustive derivation search over the typing
 rules, shuffle-language membership by direct recursive interleaving, DFA
-inclusion by joint simulation over strings, and reduction by the
+inclusion by joint simulation over strings, reduction by the
 straightforward engine that rebuilds and re-keys every site of every
-successor.
+successor, and the DFA algebra and derivative search as they were
+before the interned engine.
 """
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from dataclasses import replace
 from functools import lru_cache
 
@@ -19,7 +21,10 @@ from membranes import (
     System, par, validate_system,
 )
 from membranes.core import Policy
-from membranes.policy_dfa import Cre, Eps, Seq, Shuffle, ShuffleClosure, Sym
+from membranes.policy_dfa import (
+    EPS, Cre, Eps, Seq, Shuffle, ShuffleClosure, Sym, _bfs, _product, _reachable,
+    complement, is_empty, with_alphabet,
+)
 from membranes.runtime import (
     Event, LocalAction, Migration, Mode, _deny, _event_key, allows,
 )
@@ -356,3 +361,230 @@ def run(n: System, mode: Mode, max_steps: int, seed: int) -> tuple[list[Event], 
         for blocked in blocked_migrations(current, mode):
             events.append(replace(blocked, step=len(events)))
     return events, current
+
+
+# ---------------------------------------------------------------------------
+# DFA algebra and the CRE derivative search before the interned engine:
+# the eager product for inclusion, round-by-round partition refinement for
+# minimization, and derivatives that re-normalize, re-key and re-hash the
+# whole expression at every step, as they were. `cre_normal` here is not
+# idempotent on every input (see `normal_fixpoint`). The automaton helpers
+# and the expression classes are the library's.
+
+
+def enforces_dfa(a1: Dfa, a2: Dfa) -> bool:
+    """Language inclusion, via emptiness of L(a1) minus L(a2)."""
+    sigma = a1.alphabet | a2.alphabet
+    return is_empty(_product(with_alphabet(a1, sigma), complement(with_alphabet(a2, sigma))))
+
+
+def minimize(a: Dfa) -> Dfa:
+    """The minimal automaton for the same language, canonically named.
+
+    Unreachable states are dropped, equivalent states merged by partition
+    refinement, and the result renamed q0,q1,... in breadth-first order
+    over the sorted alphabet, so language-equal minimal automata compare
+    equal as values.
+    """
+    syms = sorted(a.alphabet)
+    reach = [s for s, _ in _reachable(a)]
+    final_block = sorted(s for s in reach if s in a.finals)
+    other_block = sorted(s for s in reach if s not in a.finals)
+    blocks = [b for b in (final_block, other_block) if b]
+    block_of = {s: i for i, b in enumerate(blocks) for s in b}
+    while True:
+        refined: list[list[str]] = []
+        for block in blocks:
+            groups: dict[tuple, list[str]] = {}
+            for s in block:
+                sig = tuple(block_of[a.delta[(s, sym)]] for sym in syms)
+                groups.setdefault(sig, []).append(s)
+            refined.extend(groups.values())
+        if len(refined) == len(blocks):
+            break
+        blocks = refined
+        block_of = {s: i for i, b in enumerate(blocks) for s in b}
+
+    quotient = _bfs(block_of[a.start],
+                    lambda i: [(sym, block_of[a.delta[(blocks[i][0], sym)]]) for sym in syms])
+    names = {i: f"q{k}" for k, (i, _) in enumerate(quotient)}
+
+    delta = {}
+    finals = set()
+    for i, label in names.items():
+        rep = blocks[i][0]
+        if rep in a.finals:
+            finals.add(label)
+        for sym in syms:
+            delta[(label, sym)] = names[block_of[a.delta[(rep, sym)]]]
+    return Dfa.of(names.values(), a.alphabet, "q0", finals, delta)
+
+
+def cre_key(e: Cre) -> tuple:
+    if isinstance(e, Eps):
+        return ("eps",)
+    if isinstance(e, Sym):
+        return ("sym", e.symbol)
+    if isinstance(e, Seq):
+        return ("seq", cre_key(e.first), cre_key(e.second))
+    if isinstance(e, Shuffle):
+        return ("shuf", cre_key(e.left), cre_key(e.right))
+    if isinstance(e, ShuffleClosure):
+        return ("clo", cre_key(e.body))
+    raise TypeError(f"not a CRE: {e!r}")
+
+
+def cre_normal(e: Cre) -> Cre:
+    """Language-preserving canonical form.
+
+    Shuffle is flattened, sorted and stripped of empty-word units (it is
+    associative and commutative with unit eps); concatenation is
+    right-nested with units dropped; closure of eps or of a closure
+    collapses. Normalizing derivative states is what keeps the search
+    space finite for replication-free agents.
+    """
+    if isinstance(e, (Eps, Sym)):
+        return e
+    if isinstance(e, (Seq, Shuffle)):
+        kind = type(e)
+        factors = []
+        stack = [e]
+        while stack:
+            node = stack.pop()
+            if type(node) is kind:
+                stack.extend((node.second, node.first) if kind is Seq else (node.right, node.left))
+            else:
+                norm = cre_normal(node)
+                if not isinstance(norm, Eps):
+                    factors.append(norm)
+        if not factors:
+            return EPS
+        if kind is Shuffle:
+            factors.sort(key=cre_key)
+        out = factors[-1]
+        for f in reversed(factors[:-1]):
+            out = kind(f, out)
+        return out
+    if isinstance(e, ShuffleClosure):
+        body = cre_normal(e.body)
+        if isinstance(body, Eps):
+            return EPS
+        if isinstance(body, ShuffleClosure):
+            return body
+        return ShuffleClosure(body)
+    raise TypeError(f"not a CRE: {e!r}")
+
+
+def nullable(e: Cre) -> bool:
+    """Whether the empty word belongs to the expression's language."""
+    if isinstance(e, Eps):
+        return True
+    if isinstance(e, Sym):
+        return False
+    if isinstance(e, Seq):
+        return nullable(e.first) and nullable(e.second)
+    if isinstance(e, Shuffle):
+        return nullable(e.left) and nullable(e.right)
+    if isinstance(e, ShuffleClosure):
+        return True
+    raise TypeError(f"not a CRE: {e!r}")
+
+
+def _cre_nodes(e: Cre) -> list[Cre]:
+    """All nodes of an expression, e itself included."""
+    out = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if isinstance(node, Seq):
+            stack.extend((node.first, node.second))
+        elif isinstance(node, Shuffle):
+            stack.extend((node.left, node.right))
+        elif isinstance(node, ShuffleClosure):
+            stack.append(node.body)
+    return out
+
+
+def cre_symbols(e: Cre) -> frozenset[str]:
+    return frozenset(node.symbol for node in _cre_nodes(e) if isinstance(node, Sym))
+
+
+def derive(e: Cre, symbol: str) -> frozenset[Cre]:
+    """All normalized residuals after reading one symbol.
+
+    Several residuals can arise because a shuffle may take the symbol from
+    either side; the set plays the role of an alternation.
+    """
+    if isinstance(e, Eps):
+        return frozenset()
+    if isinstance(e, Sym):
+        return frozenset({EPS}) if e.symbol == symbol else frozenset()
+    if isinstance(e, Seq):
+        out = {cre_normal(Seq(d, e.second)) for d in derive(e.first, symbol)}
+        if nullable(e.first):
+            out |= derive(e.second, symbol)
+        return frozenset(out)
+    if isinstance(e, Shuffle):
+        out = {cre_normal(Shuffle(d, e.right)) for d in derive(e.left, symbol)}
+        out |= {cre_normal(Shuffle(e.left, d)) for d in derive(e.right, symbol)}
+        return frozenset(out)
+    if isinstance(e, ShuffleClosure):
+        return frozenset(cre_normal(Shuffle(d, e)) for d in derive(e.body, symbol))
+    raise TypeError(f"not a CRE: {e!r}")
+
+
+def derive_state(state: frozenset[Cre], symbol: str) -> frozenset[Cre]:
+    out: set[Cre] = set()
+    for e in state:
+        out |= derive(e, symbol)
+    return frozenset(out)
+
+
+# Shuffle closures can grow a derivative without limit (one extra parallel
+# residue per unfolding), while closure searches that do terminate keep
+# their states small; past this many nodes in one derivative state the
+# bounded search gives up rather than degrade or overflow the stack.
+_STATE_SIZE_CAP = 64
+
+
+def _language_included(e: Cre, a: Dfa, start: str, bound: int, bounded: bool):
+    """Search (expression derivative, automaton state) pairs breadth-first.
+
+    Returns ("no", word) on the shortest word the expression can produce
+    that the automaton does not accept from `start`; ("yes", None) when
+    the reachable pair set closes; ("unknown", None) when the search
+    exceeds `bound` pairs and `bounded` is set (shuffle closure makes the
+    space infinite in general, so only then is the bound live).
+    """
+    root = (frozenset({cre_normal(e)}), start)
+    seen = {root}
+    queue = deque([(root, ())])
+    while queue:
+        (state, dstate), word = queue.popleft()
+        if any(nullable(x) for x in state):
+            if dstate is None or dstate not in a.finals:
+                return "no", word
+        syms = sorted(frozenset().union(*(cre_symbols(x) for x in state)))
+        for symbol in syms:
+            state2 = derive_state(state, symbol)
+            if not state2:
+                continue
+            dstate2 = a.step(dstate, symbol) if dstate is not None else None
+            nxt = (state2, dstate2)
+            if nxt not in seen:
+                if bounded and (len(seen) >= bound
+                                or sum(len(_cre_nodes(x)) for x in state2) > _STATE_SIZE_CAP):
+                    return "unknown", None
+                seen.add(nxt)
+                queue.append((nxt, word + (symbol,)))
+    return "yes", None
+
+
+def normal_fixpoint(e: Cre) -> Cre:
+    """`cre_normal` applied until it stops changing the expression."""
+    while True:
+        again = cre_normal(e)
+        if again == e:
+            return e
+        e = again

@@ -13,6 +13,7 @@ from membranes import (
 )
 from membranes.policy_dfa import accepts, cre_normal, lang_words, with_alphabet
 
+import oracles
 from conftest import random_policy_dfa
 from oracles import (
     included_enum, included_oracle, interleavings, lang_member_oracle,
@@ -431,3 +432,62 @@ def test_wellformed_empty_code():
 def test_wellformed_can_be_unknown():
     n = _dfa_site(mail_dfa(), Repl(Act("send", Act("send", NIL))))
     assert wellformed_dfa(n, bound=2) is None
+
+
+# ---------------------------------------------------------------------------
+# normal forms, minimization and inclusion against the previous algorithms
+
+
+def test_cre_normal_is_idempotent():
+    rng = random.Random(41)
+    for _ in range(3000):
+        e = random_cre(rng, 5, 2)
+        norm = cre_normal(e)
+        assert cre_normal(norm) == norm, e
+        # the previous normalizer reaches the same form, if not in one pass
+        assert norm == oracles.normal_fixpoint(e), e
+
+
+def test_cre_normal_splices_factors_of_the_outer_kind():
+    a, b, c = Sym("a"), Sym("b"), Sym("c")
+    assert cre_normal(Shuffle(Seq(EPS, Shuffle(a, b)), c)) == Shuffle(a, Shuffle(b, c))
+    assert cre_normal(Seq(Shuffle(EPS, Seq(a, b)), c)) == Seq(a, Seq(b, c))
+
+
+def _counter_chain(n):
+    """At most n sends; other symbols free (as the benchmark's automata)."""
+    states = [f"n{i}" for i in range(n + 1)]
+    delta = {}
+    for i, s in enumerate(states):
+        for sym in ("usr", "quit"):
+            delta[(s, sym)] = s
+        delta[(s, "send")] = states[min(i + 1, n)] if i < n else "dead"
+    delta.update({("dead", sym): "dead" for sym in ("usr", "quit", "send")})
+    return Dfa.of(states + ["dead"], {"usr", "quit", "send"}, "n0", states, delta)
+
+
+def test_minimize_equals_previous_algorithm():
+    rng = random.Random(17)
+    for _ in range(200):
+        a = random_policy_dfa(rng, [])
+        big = Dfa.of(a.states | {"x", "y"}, a.alphabet, a.start, a.finals | {"y"},
+                     {**a.delta, **{(s, sym): rng.choice(sorted(a.states | {"x", "y"}))
+                                    for s in ("x", "y") for sym in a.alphabet}})
+        for dfa in (a, big):
+            assert minimize(dfa) == oracles.minimize(dfa)
+    for n in (0, 1, 2, 5, 34, 100, 200):
+        chain = _counter_chain(n)
+        assert minimize(chain) == oracles.minimize(chain)
+        assert len(minimize(chain).states) == n + 2
+
+
+def test_enforces_dfa_equals_eager_product():
+    rng = random.Random(23)
+    for _ in range(300):
+        a1 = random_policy_dfa(rng, ["far"] if rng.random() < 0.3 else [])
+        a2 = random_policy_dfa(rng, ["near"] if rng.random() < 0.3 else [])
+        assert enforces_dfa(a1, a2) == oracles.enforces_dfa(a1, a2)
+    for n in (0, 3, 50):
+        for m in (0, 3, 50):
+            assert enforces_dfa(_counter_chain(n), _counter_chain(m)) == (n <= m)
+            assert oracles.enforces_dfa(_counter_chain(n), _counter_chain(m)) == (n <= m)
